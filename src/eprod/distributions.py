@@ -22,7 +22,7 @@ coefficient n costs O(n) once and O(1) after.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -352,11 +352,13 @@ def _exp_extend(rate: Fraction):
     # u_{n+1} = g sqrt(2/(n+1)) u_n + sqrt(n/(n+1)) u_{n-1}, u_0 = 1;
     # coefficient = sqrt(2) pi**(1/4) exp(g**2/2) u_n
     u: list = []
+    g = scale = None
 
     def extend(values, target):
-        g = mpf(rate.numerator) / rate.denominator
-        scale = mp.sqrt(2) * mp.pi ** mpf("0.25") * mp.exp(g * g / 2)
-        if not u:
+        nonlocal g, scale
+        if not u:  # CoeffSequence always extends at its own precision
+            g = mpf(rate.numerator) / rate.denominator
+            scale = mp.sqrt(2) * mp.pi ** mpf("0.25") * mp.exp(g * g / 2)
             u.append(mpf(1))
         while len(u) <= target:
             n = len(u) - 1
@@ -374,11 +376,13 @@ def _wave_extend(freq: Fraction, odd: bool):
     # cos: coefficient at n = 2l is (-1)**l sqrt(2 pi) e_n(w); odd n vanish.
     # sin: coefficient at n = 2l+1 is (-1)**l sqrt(2 pi) e_n(w); even n vanish.
     e: list = []
+    w = scale = None
 
     def extend(values, target):
-        w = mpf(freq.numerator) / freq.denominator
-        scale = mp.sqrt(2 * mp.pi)
-        if not e:
+        nonlocal w, scale
+        if not e:  # CoeffSequence always extends at its own precision
+            w = mpf(freq.numerator) / freq.denominator
+            scale = mp.sqrt(2 * mp.pi)
             e.append(mp.pi ** mpf("-0.25") * mp.exp(-w * w / 2))
         while len(e) <= target:
             n = len(e) - 1

@@ -16,11 +16,15 @@ runs a fixed pipeline over the term stream:
        by a Wynn epsilon estimate  ->  AbelSummable
     6. otherwise          ->  Inconclusive
 
-Pairs drawn from the monomial and delta families additionally run on exact
-hypergeometric series terms: the n-th product of coefficients equals an
-exact prefactor times a row of Gamma/terminating-2F1 factors, and the
-prefactor is *derived at runtime* as (first exact pair term) / (first series
-term) rather than hardcoded.
+Every pairing has one term source.  A finite support gives the exact
+truncated sum.  Otherwise, when both sides are point masses, monomials,
+exponentials or waves (or combinations of them), stage 5 takes its Abel
+levels from the eigenfunction-kernel closed form, cross-checked once against
+direct summation; any other pair sums each Abel level term by term.
+
+The exact hypergeometric rows (`series_term`, `series_row_source`) and the
+exact pair terms of the monomial/delta families stay available for the
+exact identities they carry; the pipeline does not use them.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .exact import ExactTerm, SqrtTerm
 from .extrapolate import richardson_dyadic, wynn_epsilon
 from .hermite import eigenfunction_kernel
 from .precision import DEFAULT_DPS, check_dps, to_mpc, to_mpf, working
-from .special import Terminating2F1Sequence, gamma_half_integer, gauss_2f1_terminating
+from .special import gamma_half_integer, gauss_2f1_terminating
 
 __all__ = [
     "ABSOLUTELY_CONVERGENT",
@@ -165,9 +169,9 @@ class TermSource:
 
     ``support`` (when given) is a basis-index bound past which every term
     vanishes exactly.  ``abel_eval`` (when given) is a closed form for the
-    whole Abel transform r |-> sum_j t_j r**basis_index(j); ``dps`` lets a
-    source demand more working digits than the caller's default (the exact
-    hypergeometric rows do, to absorb cancellation between large terms).
+    whole Abel transform r |-> sum_j t_j r**basis_index(j).  ``dps`` (when
+    given) is the precision the source's own terms were computed at, and
+    replaces the caller's working precision when it is classified and summed.
     """
 
     def __init__(
@@ -178,7 +182,6 @@ class TermSource:
         offset: int = 0,
         structural_zero: bool = False,
         support: Optional[int] = None,
-        exact_fetch: Optional[Callable[[int], SqrtTerm]] = None,
         abel_eval: Optional[Callable] = None,
         dps: Optional[int] = None,
     ):
@@ -187,7 +190,6 @@ class TermSource:
         self.offset = offset
         self.structural_zero = structural_zero
         self.support = support
-        self.exact_fetch = exact_fetch
         self.abel_eval = abel_eval
         self.dps = dps
         self._memo: list = []
@@ -336,16 +338,20 @@ def _cross_check_level(source: TermSource, r, closed_value):
     below = 0
     term = source.term
     settled = False
-    # truncate at the precision floor: the tail past the hump decays with
-    # ratio close to r, so a loose cut would leave a visible remainder
-    drop = mpf(10) ** (-(mp.dps - 20))
+    # the direct sum cannot beat peak * 10**-(working digits): cancellation
+    # through the term hump already cost that much.  The gate is the larger
+    # of that floor and a modest relative error; the tail past the hump
+    # decays with ratio close to step, so stopping once a term is below
+    # (1 - step) * gate keeps the dropped remainder inside the gate.
+    floor = mpf(10) ** (-(mp.dps - 12))
+    rel = mpf("1e-10") * max(mpf(1), abs(closed_value))
     for j in range(_CROSS_CHECK_TERMS):
         v = term(j) * p
         total += v
         a = abs(v)
         if a > peak:
             peak = a
-        if a <= drop * peak:
+        if a <= (1 - step) * max(rel, floor * peak):
             below += 1
             if below >= 8 and j >= 32:
                 settled = True
@@ -355,10 +361,7 @@ def _cross_check_level(source: TermSource, r, closed_value):
         p *= step
     if not settled:
         return
-    # the direct sum cannot beat peak * 10**-(working digits): cancellation
-    # through the term hump already cost that much
-    noise = peak * mpf(10) ** (-(mp.dps - 12))
-    gate = max(mpf("1e-10") * max(mpf(1), abs(closed_value), abs(total)), noise)
+    gate = max(rel, mpf("1e-10") * abs(total), floor * peak)
     if abs(closed_value - total) > gate:
         raise RuntimeError(
             "closed-form Abel evaluator disagrees with direct summation "
@@ -546,33 +549,6 @@ def series_term(kind: str, j: int, n: int, m: int) -> ExactTerm:
     return lead * g * g * (fn * fm)
 
 
-def _newton_eval(coeffs, j: int):
-    """c_0 + (j-0)(c_1 + (j-1)(c_2 + ...)), numeric Horner on the Newton form."""
-    acc = coeffs[-1]
-    for t in range(len(coeffs) - 2, -1, -1):
-        acc = coeffs[t] + (j - t) * acc
-    return acc
-
-
-_FAMILY_KINDS = {
-    Monomial: "mono",
-    NormalizedMonomial: "mono",
-    DeltaDeriv: "delta",
-    NormalizedDeltaDeriv: "delta",
-}
-
-
-def _family_of(d: Distribution):
-    """(kind, family index) for monomial/delta family members, else None."""
-    k = _FAMILY_KINDS.get(type(d))
-    if k is None:
-        return None
-    idx = d.degree if isinstance(d, Monomial) else (
-        d.order if isinstance(d, DeltaDeriv) else d.index
-    )
-    return (k, idx)
-
-
 def pair_term_exact(F: Distribution, G: Distribution, n: int) -> SqrtTerm:
     """Exact n-th term conj(F[e_n]) G[e_n] for family pairs (real values)."""
     cf = coeff_exact(F, n)
@@ -619,88 +595,12 @@ def series_row_source(kind: str, dps: int = DEFAULT_DPS) -> TermSource:
         with working(dps):
             return next(stream)
 
-    def exact_fetch(j: int) -> ExactTerm:
-        return series_term(kind, j, 0, 0)
-
-    return TermSource(fetch, exact_fetch=exact_fetch, dps=dps)
-
-
-def _family_source(F, G, fam_f, fam_g, dps: int) -> TermSource:
-    """Term stream for a family pair, driven by the exact hypergeometric row.
-
-    The stream value is prefactor * row(j); the prefactor is derived from
-    the first live exact pair term divided by the first row element, never
-    written out by hand.
-    """
-    kind_f, idx_f = fam_f
-    kind_g, idx_g = fam_g
-    p = idx_f % 2  # == idx_g % 2, parities already matched
-    a = (idx_f - p) // 2
-    b = (idx_g - p) // 2
-    alternating = kind_f != kind_g
-    if p == 0:
-        kind = "a" if alternating else "c"
-        cpar = Fraction(1, 2)
-    else:
-        kind = "b" if alternating else "d"
-        cpar = Fraction(3, 2)
-
-    prefactor = pair_term_exact(F, G, p) / series_term(kind, 0, a, b)
-
-    poly_a = Terminating2F1Sequence(cpar, a)
-    poly_b = Terminating2F1Sequence(cpar, b)
-
-    # Abel sums of these rows cancel a hump of terms that grows like
-    # j**(a+b) before the r**2j decay wins; budget roughly seven digits per
-    # polynomial degree on top of the requested precision.
-    eff = dps + 7 * (a + b) + 12
-
-    def row():
-        # g_j = |lead_j * Gamma_j**2|, advanced by its closed ratio:
-        #   kinds a/c: g_{j+1}/g_j = (2j+1)/(2j+2)
-        #   kinds b/d: g_{j+1}/g_j = (2j+3)/(2j+2)
-        # The 2F1 polynomial factors are evaluated in Newton/Horner form.
-        # Arithmetic inherits the caller's working precision; the callers
-        # (scan and Abel loops) always hold one at >= eff.
-        with working(eff):
-            pref = prefactor.to_mpf(eff)
-            g = abs(series_term(kind, 0, 0, 0).to_mpf(eff))
-            ca = [
-                mpf(c.numerator) / c.denominator for c in poly_a.newton_coefficients()
-            ]
-            cb = [
-                mpf(c.numerator) / c.denominator for c in poly_b.newton_coefficients()
-            ]
-        j = 0
-        while True:
-            rho = _newton_eval(ca, j) * _newton_eval(cb, j)
-            sgn = -1 if (alternating and j % 2) else 1
-            yield sgn * pref * g * rho
-            if kind in ("a", "c"):
-                g = g * (2 * j + 1) / (2 * j + 2)
-            else:
-                g = g * (2 * j + 3) / (2 * j + 2)
-            j += 1
-
-    stream = row()
-
-    def fetch(j: int):
-        # TermSource extends its memo sequentially, so the generator's j
-        # always matches the requested one
-        return next(stream)
-
-    def exact_fetch(n: int) -> SqrtTerm:
-        return pair_term_exact(F, G, n)
-
-    return TermSource(
-        fetch, stride=2, offset=p, structural_zero=False, support=None,
-        exact_fetch=exact_fetch, dps=eff,
-    )
+    return TermSource(fetch, dps=dps)
 
 
 # -- closed-form Abel transforms through the eigenfunction kernel ------------
 #
-# Point-mass and analytic-wave coefficients all have the shape
+# Point-mass, monomial and analytic-wave coefficients all have the shape
 #
 #     coeff(d, n) = sum over branches of  lam * i**(s n) * e_n^(j)(x0),
 #
@@ -726,6 +626,15 @@ def _point_branches(d: Distribution):
         return [
             (lambda m=m: mpc(1) / mp.sqrt(mp.factorial(m)), 0, lambda: mpc(0), m)
         ]
+    if isinstance(d, (Monomial, NormalizedMonomial)):
+        # x**p = d**p/dg**p exp(g x) at g = 0; each d/dg of the exp branch
+        # e_n(-i g) below brings down -i and one x-derivative
+        if isinstance(d, Monomial):
+            p, norm = d.degree, 1
+        else:
+            p, norm = d.index, math.factorial(d.index)
+        lam = lambda: mp.sqrt(2 * mp.pi / norm) * _I_POWERS[3 * p % 4]
+        return [(lam, 1, lambda: mpc(0), p)]
     if isinstance(d, ExpReal):
         rate = d.rate
 
@@ -872,12 +781,7 @@ def classify_and_sum(
     if pf is not None and pg is not None and pf != pg:
         diag = Diagnostics(message="left and right parities are opposite")
         return EProductResult(ZERO_BY_PARITY, mpc(0), 0, diag, cfg)
-    fam_f, fam_g = _family_of(F), _family_of(G)
-    if fam_f is not None and fam_g is not None:
-        source = _family_source(F, G, fam_f, fam_g, dps)
-    else:
-        source = _generic_source(F, G, dps)
-    return classify_series(source, cfg, dps)
+    return classify_series(_generic_source(F, G, dps), cfg, dps)
 
 
 def partial_sums(F: Distribution, G: Distribution, k_max: int, dps: int = DEFAULT_DPS):

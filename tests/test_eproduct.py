@@ -1,5 +1,6 @@
 """Series classification pipeline, Abel machinery, and the family rows."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,17 @@ def test_abel_sum_poisoned_closed_form_raises():
         abel_sum(src, _CFG, 40)
 
 
+@pytest.mark.parametrize("dps", [30, 60])
+def test_cross_check_accepts_slowly_decaying_honest_closed_form(dps):
+    # the weighted terms of exp(-2x) x delta^(3) decay slowly past their
+    # peak at r = 15/16; the direct sum must run far enough that the dropped
+    # tail stays below the gate it is compared against
+    res = classify_and_sum(ExpReal(-2), DeltaDeriv(3), dps=dps)
+    assert res.status == ABEL_SUMMABLE
+    with mp.workdps(dps):
+        assert abs(res.value - 8) < mpf("1e-12")
+
+
 # -- classification stages -------------------------------------------------------
 
 
@@ -266,7 +278,6 @@ def test_series_row_source_matches_exact_terms():
             for j in range(0, 40, 7):
                 want = series_term(kind, j, 0, 0).to_mpf(45)
                 assert abs(src.term(j) - want) <= mpf("1e-38") * max(1, abs(want))
-        assert src.exact_fetch(3) == series_term(kind, 3, 0, 0)
 
 
 def test_series_row_limits():
@@ -373,3 +384,47 @@ def test_nonzero_scan_count_reported():
     # even-only support: half the scanned indices carry terms
     assert res.diagnostics.n_nonzero > 0
     assert res.n_terms >= res.diagnostics.n_nonzero
+
+
+# -- the kernel route for the ladder families ---------------------------------------
+
+_CLOSED_FORM = "Abel levels evaluated in closed form"
+
+
+def test_monomial_delta_grid_is_exact():
+    # <x^p, delta^(k)> = (-1)^k d^k/dx^k x^p at 0 = (-1)^k k! delta_pk
+    for p in range(5):
+        for k in range(5):
+            res = classify_and_sum(Monomial(p), DeltaDeriv(k), dps=30)
+            if (p + k) % 2:
+                assert res.status == ZERO_BY_PARITY
+                assert res.value == 0
+                continue
+            assert res.status == ABEL_SUMMABLE, (p, k)
+            want = (-1) ** k * math.factorial(k) if p == k else 0
+            with mp.workdps(30):
+                assert abs(res.value - want) < mpf("1e-12"), (p, k)
+
+
+def test_phi_psi_grid_is_biorthonormal_at_30_digits():
+    cfg = SummationConfig(tolerance=1e-13)
+    for n in range(5):
+        for m in range(5):
+            res = phi_psi_product(n, m, cfg, 30)
+            if (n + m) % 2:
+                assert res.status == ZERO_BY_PARITY
+                continue
+            assert res.status == ABEL_SUMMABLE, (n, m)
+            with mp.workdps(30):
+                assert abs(res.value - (1 if n == m else 0)) < mpf("1e-12"), (n, m)
+    assert phi_psi_product(3, 3, cfg, 30).diagnostics.message == _CLOSED_FORM
+
+
+def test_combination_with_monomial_takes_the_closed_form():
+    # <x^2 + 2 exp(x), delta''> = 2 + 2 * 1
+    left = LinearCombo(((1, Monomial(2)), (2, ExpReal(1))))
+    res = classify_and_sum(left, DeltaDeriv(2), dps=30)
+    assert res.status == ABEL_SUMMABLE
+    assert res.diagnostics.message == _CLOSED_FORM
+    with mp.workdps(30):
+        assert abs(res.value - 4) < mpf("1e-12")

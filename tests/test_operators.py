@@ -220,6 +220,16 @@ def test_adjoint_check_point_family_triples(expr, big, small):
         assert rep.difference <= mpf("1e-15") * scale
 
 
+def test_adjoint_check_long_word_at_30_digits():
+    # the closed-form cross-check at r = 15/16 must not trip on the slowly
+    # decaying terms of a rate-3/2 exponential
+    word = C @ C @ C @ C @ C
+    rep = adjoint_check(word, DeltaDeriv(1), ExpReal(Fraction(3, 2)), dps=30)
+    with working(30):
+        scale = max(mpf(1), abs(rep.left.value), abs(rep.right.value))
+        assert rep.difference <= mpf("1e-15") * scale
+
+
 def test_adjoint_check_identity_is_bit_for_bit():
     rep = adjoint_check(ID, CosWave(1), DeltaDeriv(0), _CFG, 40)
     assert rep.difference == 0
