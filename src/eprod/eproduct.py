@@ -612,60 +612,54 @@ def series_row_source(kind: str, dps: int = DEFAULT_DPS) -> TermSource:
 _I_POWERS = (mpc(1), mpc(0, 1), mpc(-1), mpc(0, -1))
 
 
-def _point_branches(d: Distribution):
-    """Branch list [(lam(), s, x0(), j)] for the kernel route, or None.
+def _point_branches(d: Distribution, dps: int):
+    """Branch list [(coeff, s, x0, j)] for the kernel route, or None.
 
-    The lam/x0 entries are zero-argument factories so each Abel level can
-    realize them at its own working precision.
+    Coefficients and evaluation points are realized once at ``dps``; every
+    Abel level reuses them.
     """
-    if isinstance(d, DeltaDeriv):
-        k = d.order
-        return [(lambda k=k: mpc((-1) ** k), 0, lambda: mpc(0), k)]
-    if isinstance(d, NormalizedDeltaDeriv):
-        m = d.index
-        return [
-            (lambda m=m: mpc(1) / mp.sqrt(mp.factorial(m)), 0, lambda: mpc(0), m)
-        ]
-    if isinstance(d, (Monomial, NormalizedMonomial)):
-        # x**p = d**p/dg**p exp(g x) at g = 0; each d/dg of the exp branch
-        # e_n(-i g) below brings down -i and one x-derivative
-        if isinstance(d, Monomial):
-            p, norm = d.degree, 1
-        else:
-            p, norm = d.index, math.factorial(d.index)
-        lam = lambda: mp.sqrt(2 * mp.pi / norm) * _I_POWERS[3 * p % 4]
-        return [(lam, 1, lambda: mpc(0), p)]
-    if isinstance(d, ExpReal):
-        rate = d.rate
+    with working(dps):
+        if isinstance(d, DeltaDeriv):
+            return [(mpc((-1) ** d.order), 0, mpc(0), d.order)]
+        if isinstance(d, NormalizedDeltaDeriv):
+            m = d.index
+            return [(mpc(1) / mp.sqrt(mp.factorial(m)), 0, mpc(0), m)]
+        if isinstance(d, (Monomial, NormalizedMonomial)):
+            # x**p = d**p/dg**p exp(g x) at g = 0; each d/dg of the exp branch
+            # e_n(-i g) below brings down -i and one x-derivative
+            if isinstance(d, Monomial):
+                p, norm = d.degree, 1
+            else:
+                p, norm = d.index, math.factorial(d.index)
+            return [(mp.sqrt(2 * mp.pi / norm) * _I_POWERS[3 * p % 4], 1, mpc(0), p)]
+        if isinstance(d, ExpReal):
+            x0 = mpc(0, -1) * to_mpf(d.rate, dps)
+            return [(mpc(mp.sqrt(2 * mp.pi)), 1, x0, 0)]
+        if isinstance(d, (CosWave, SinWave)):
+            x0 = mpc(to_mpf(d.freq, dps))
+            half = mp.sqrt(2 * mp.pi) / 2
+            if isinstance(d, CosWave):
+                return [(mpc(half), 1, x0, 0), (mpc(half), 3, x0, 0)]
+            return [(mpc(0, -1) * half, 1, x0, 0), (mpc(0, 1) * half, 3, x0, 0)]
+        if isinstance(d, LinearCombo):
+            out = []
+            for scalar, part in d.parts:
+                sub = _point_branches(part, dps)
+                if sub is None:
+                    return None
+                sc = to_mpc(scalar, dps)
+                out += [(sc * coeff, s, x0, j) for coeff, s, x0, j in sub]
+            return out
+        return None
 
-        def x0(rate=rate):
-            return mpc(0, -1) * to_mpf(rate, mp.dps)
 
-        return [(lambda: mpc(mp.sqrt(2 * mp.pi)), 1, x0, 0)]
-    if isinstance(d, (CosWave, SinWave)):
-        freq = d.freq
-
-        def x0(freq=freq):
-            return mpc(to_mpf(freq, mp.dps))
-
-        if isinstance(d, CosWave):
-            lam = lambda: mpc(mp.sqrt(2 * mp.pi) / 2)
-            return [(lam, 1, x0, 0), (lam, 3, x0, 0)]
-        lam1 = lambda: mpc(0, -1) * mp.sqrt(2 * mp.pi) / 2
-        lam2 = lambda: mpc(0, 1) * mp.sqrt(2 * mp.pi) / 2
-        return [(lam1, 1, x0, 0), (lam2, 3, x0, 0)]
-    if isinstance(d, LinearCombo):
-        out = []
-        for scalar, part in d.parts:
-            sub = _point_branches(part)
-            if sub is None:
-                return None
-            for lam, s, x0, j in sub:
-                out.append(
-                    (lambda lam=lam, sc=scalar: to_mpc(sc, mp.dps) * lam(), s, x0, j)
-                )
-        return out
-    return None
+def _merge(branches):
+    """Like branches (same s, x0, j) summed, exact zeros dropped."""
+    merged: dict = {}
+    for coeff, s, x0, j in branches:
+        key = (s, x0, j)
+        merged[key] = merged.get(key, 0) + coeff
+    return [(coeff, s, x0, j) for (s, x0, j), coeff in merged.items() if coeff != 0]
 
 
 def _ladder_branches(branches, letter: str):
@@ -675,60 +669,62 @@ def _ladder_branches(branches, letter: str):
         sqrt(n+1) e_{n+1}^(j)(x) = (x e_n^(j) + j e_n^(j-1) - e_n^(j+1)) / sqrt(2)
         sqrt(n)   e_{n-1}^(j)(x) = (x e_n^(j) + j e_n^(j-1) + e_n^(j+1)) / sqrt(2)
     so the class of point-branch sources is closed under c, cdag, x, d.
+    Every letter keeps s and x0, so after merging a word of L letters on
+    one branch leaves at most j + L + 1 branches.  Runs at the caller's
+    working precision.
     """
+    root2 = mp.sqrt(2)
     if letter in ("x", "d"):
         sign = 1 if letter == "x" else -1  # x = (c + cdag)/sqrt2, d = (c - cdag)/sqrt2
-        out = []
-        for lam, s, x0, j in _ladder_branches(branches, "c"):
-            out.append((lambda lam=lam: lam() / mp.sqrt(2), s, x0, j))
-        for lam, s, x0, j in _ladder_branches(branches, "cdag"):
-            out.append((lambda lam=lam, g=sign: g * lam() / mp.sqrt(2), s, x0, j))
-        return out
+        out = [(c / root2, s, x0, j) for c, s, x0, j in _ladder_branches(branches, "c")]
+        out += [
+            (sign * c / root2, s, x0, j)
+            for c, s, x0, j in _ladder_branches(branches, "cdag")
+        ]
+        return _merge(out)
     if letter not in ("c", "cdag"):
         raise ValueError(f"unknown ladder letter {letter!r}")
     out = []
-    for lam, s, x0, j in branches:
+    for coeff, s, x0, j in branches:
         # (c g)_n picks up the branch's index phase once: i**(s(n+1)) = i**s i**(sn)
         phase = (s if letter == "c" else (4 - s)) % 4
         tip = -1 if letter == "c" else 1
-
-        def base(lam=lam, phase=phase):
-            return lam() * _I_POWERS[phase] / mp.sqrt(2)
-
-        out.append((lambda base=base, x0=x0: base() * x0(), s, x0, j))
+        base = coeff * _I_POWERS[phase] / root2
+        out.append((base * x0, s, x0, j))
         if j >= 1:
-            out.append((lambda base=base, j=j: base() * j, s, x0, j - 1))
-        out.append((lambda base=base, tip=tip: tip * base(), s, x0, j + 1))
-    return out
+            out.append((base * j, s, x0, j - 1))
+        out.append((tip * base, s, x0, j + 1))
+    return _merge(out)
 
 
-def _word_branches(terms, branches):
-    """Branches of (sum_t scalar_t * word_t) applied to a point-branch list."""
-    out = []
-    for scalar, word in terms:
-        cur = branches
-        for letter in reversed(word):  # rightmost letter acts first
-            cur = _ladder_branches(cur, letter)
-        for lam, s, x0, j in cur:
-            out.append(
-                (lambda lam=lam, sc=scalar: to_mpc(sc, mp.dps) * lam(), s, x0, j)
-            )
-    return out
+def _word_branches(terms, branches, dps: int):
+    """Branches of (sum_t scalar_t * word_t) applied to a point-branch list,
+    like branches merged across the words."""
+    with working(dps):
+        out = []
+        for scalar, word in terms:
+            cur = branches
+            for letter in reversed(word):  # rightmost letter acts first
+                cur = _ladder_branches(cur, letter)
+            sc = to_mpc(scalar, dps)
+            out += [(sc * coeff, s, x0, j) for coeff, s, x0, j in cur]
+        return _merge(out)
 
 
 def _kernel_eval(branches_f, branches_g, dps: int):
     """r -> sum_n conj(f_n) g_n r**n over two point-branch lists."""
+    with working(dps):  # conj rounds to the ambient precision
+        left = [
+            (mp.conj(c), (4 - s) % 4, mp.conj(x0), j) for c, s, x0, j in branches_f
+        ]
 
     def evaluate(r):
         total = mpc(0)
-        for lam_f, s_f, x_f, j_f in branches_f:
-            lam_left = mp.conj(lam_f())
-            x_left = mp.conj(x_f())
-            s_left = (4 - s_f) % 4
-            for lam_g, s_g, x_g, j_g in branches_g:
-                w = mpc(r) * _I_POWERS[(s_left + s_g) % 4]
-                kval = eigenfunction_kernel(w, x_left, x_g(), j_f, j_g, mp.dps)
-                total += lam_left * lam_g() * kval
+        for c_f, s_f, x_f, j_f in left:
+            for c_g, s_g, x_g, j_g in branches_g:
+                w = mpc(r) * _I_POWERS[(s_f + s_g) % 4]
+                kval = eigenfunction_kernel(w, x_f, x_g, j_f, j_g, mp.dps)
+                total += c_f * c_g * kval
         return total
 
     return evaluate
@@ -736,17 +732,17 @@ def _kernel_eval(branches_f, branches_g, dps: int):
 
 def _kernel_pair_eval(F: Distribution, G: Distribution, dps: int):
     """r -> sum_n conj(coeff(F,n)) coeff(G,n) r**n in closed form, or None."""
-    branches_f = _point_branches(F)
-    branches_g = _point_branches(G)
+    branches_f = _point_branches(F, dps)
+    branches_g = _point_branches(G, dps)
     if branches_f is None or branches_g is None:
         return None
     return _kernel_eval(branches_f, branches_g, dps)
 
 
 def _generic_source(F, G, dps: int) -> TermSource:
+    """Term source of a pairing whose parities are not opposite
+    (``classify_and_sum`` settles those first)."""
     pf, pg = parity(F), parity(G)
-    if pf is not None and pg is not None and pf != pg:
-        return TermSource(lambda j: mpc(0), structural_zero=True)
     bf, bg = support_bound(F), support_bound(G)
     bounds = [x for x in (bf, bg) if x is not None]
     support = min(bounds) if bounds else None

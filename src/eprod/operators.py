@@ -46,12 +46,21 @@ __all__ = [
     "AdjointCheckReport",
     "InconclusivePairingError",
     "LETTERS",
+    "MAX_WORD_LENGTH",
 ]
 
 LETTERS = ("c", "cdag", "x", "d")
 
 _SWAP = {"c": "cdag", "cdag": "c", "x": "x", "d": "d"}
 _FLIP_SIGN = {"c": 1, "cdag": 1, "x": 1, "d": -1}
+# each letter is (lowering part) + (raising part), up to 1/sqrt(2) for x, d;
+# the sign each part carries, 0 where the letter has no such part
+_LOWER_SIGN = {"c": 1, "cdag": 0, "x": 1, "d": 1}
+_RAISE_SIGN = {"c": 0, "cdag": 1, "x": 1, "d": -1}
+
+# longest word an operator expression may hold, so that input bounds the
+# cost of applying it
+MAX_WORD_LENGTH = 32
 
 
 def _conj_scalar(s):
@@ -70,6 +79,11 @@ class OperatorExpr:
 
     def __post_init__(self):
         for scalar, word in self.terms:
+            if len(word) > MAX_WORD_LENGTH:
+                raise ValueError(
+                    f"word of {len(word)} letters exceeds the cap of "
+                    f"{MAX_WORD_LENGTH}"
+                )
             for letter in word:
                 if letter not in LETTERS:
                     raise ValueError(f"unknown letter {letter!r}")
@@ -132,52 +146,87 @@ class OperatorExpr:
         return OperatorExpr(tuple(out))
 
 
-def _letter_action(fn: Callable[[int], object], letter: str):
-    if letter == "c":
+def _peel(weights: dict, letter: str, n: int) -> dict:
+    """Normal-ordered weights {e: I_e} after one more letter, at index n.
 
-        def act(n):
-            return mp.sqrt(n + 1) * fn(n + 1)
+    Peeling a word's letters left to right, every step between indices
+    k - 1 and k contributes sqrt(k).  A step that moves away from n extends
+    the span between n and n + e; a step back toward n closes a pair of
+    crossings of the same edge into the integer k.  So
 
-    elif letter == "cdag":
+        (word s)_n = 2**(-h/2) * sum_e I_e * sqrt(R(n, e)) * s_{n+e}
 
-        def act(n):
-            return mp.sqrt(n) * fn(n - 1) if n else mpf(0)
-
-    elif letter == "x":
-
-        def act(n):
-            lower = mp.sqrt(n) * fn(n - 1) if n else mpf(0)
-            return (mp.sqrt(n + 1) * fn(n + 1) + lower) / mp.sqrt(2)
-
-    else:  # "d"
-
-        def act(n):
-            lower = mp.sqrt(n) * fn(n - 1) if n else mpf(0)
-            return (mp.sqrt(n + 1) * fn(n + 1) - lower) / mp.sqrt(2)
-
-    return act
+    with integer I_e (starting from {0: 1}), h the number of x and d
+    letters, and R(n, e) the product of the integers in
+    (min(n, n+e), max(n, n+e)].  A raising step from index 0 vanishes,
+    which is the boundary of cdag.
+    """
+    lower = _LOWER_SIGN[letter]
+    raise_ = _RAISE_SIGN[letter]
+    nxt: dict = {}
+    for e, w in weights.items():
+        m = n + e
+        if lower:
+            nxt[e + 1] = nxt.get(e + 1, 0) + (w if e >= 0 else w * (m + 1))
+        if raise_ and m:
+            v = w if e <= 0 else w * m
+            nxt[e - 1] = nxt.get(e - 1, 0) + raise_ * v
+    return nxt
 
 
 def apply_operator(
     expr: OperatorExpr, seq: Callable[[int], object], dps: int = DEFAULT_DPS
 ) -> Callable[[int], object]:
-    """The sequence n -> (X s)_n, memoized; ``seq`` maps index to coefficient."""
-    branches = []
-    for scalar, word in expr.terms:
-        fn = seq
-        for letter in reversed(word):  # rightmost letter acts first
-            fn = _letter_action(fn, letter)
-        branches.append((scalar, fn))
+    """The sequence n -> (X s)_n, memoized; ``seq`` maps index to coefficient.
+
+    Each index is normal-ordered (``_peel``), so a word of L letters costs
+    O(L**2) integer products per index and reads ``seq`` at most L + 1
+    times.  The integer weights of words with the same scalar and the same
+    number h of x and d letters are summed exactly, before one
+    multiprecision product per offset.  sqrt(m) comes from a table filled
+    once per call.
+    """
+    plan = []  # (word, group); group = (scalar, h)
+    scales: dict = {}  # group -> scalar * 2**(-h/2)
+    with working(dps):
+        for scalar, word in expr.terms:
+            group = (scalar, sum(1 for letter in word if letter in ("x", "d")))
+            if group not in scales:
+                scales[group] = scalar * mpf(2) ** (-mpf(group[1]) / 2)
+            plan.append((word, group))
+    roots: list = []  # roots[m] = sqrt(m)
     memo: dict[int, object] = {}
+
+    def root(m: int):
+        while len(roots) <= m:
+            roots.append(mp.sqrt(len(roots)))
+        return roots[m]
 
     def out(n: int):
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
         if n not in memo:
+            sums: dict = {}  # group -> {e: summed I_e}
+            for word, group in plan:
+                weights = {0: 1}
+                for letter in word:
+                    weights = _peel(weights, letter, n)
+                acc = sums.setdefault(group, {})
+                for e, w in weights.items():
+                    acc[e] = acc.get(e, 0) + w
             with working(dps):
-                total = 0
-                for scalar, fn in branches:
-                    total += scalar * fn(n)
+                coeffs: dict = {}
+                for group, acc in sums.items():
+                    scale = scales[group]
+                    for e, w in acc.items():
+                        if w:
+                            term = scale if w == 1 else scale * w
+                            coeffs[e] = coeffs.get(e, 0) + term
+                total = mpf(0)
+                for e, coeff in coeffs.items():
+                    for k in range(min(n, n + e) + 1, max(n, n + e) + 1):
+                        coeff = coeff * root(k)  # sqrt(R(n, e))
+                    total += coeff * seq(n + e)
                 memo[n] = total
         return memo[n]
 
@@ -209,10 +258,13 @@ def adjoint_check(
     """Compare <X‡ F, G> against <F, X G> through the full pipeline.
 
     Each side is its own term stream (operator applied on the coefficient
-    sequence of one slot).  When both distributions admit point branches the
+    sequence of one slot, normal-ordered at each index by
+    ``apply_operator``).  When both distributions admit point branches the
     Abel levels also get a closed form: the ladder letters transfer to the
     argument side of the eigenfunctions, so operator-applied pairs keep the
-    kernel route (and its direct-summation cross-check).
+    kernel route (and its direct-summation cross-check).  Like branches are
+    merged after every letter, so both sides cost polynomial time in the
+    word length.
 
     ``probe`` bounds the partial-sum deviation scan reported alongside the
     two classified values; the deviation need not vanish (truncation leaves
@@ -225,11 +277,11 @@ def adjoint_check(
     right_seq = apply_operator(expr, g, dps)
 
     left_eval = right_eval = None
-    bf = _point_branches(big)
-    bg = _point_branches(small)
+    bf = _point_branches(big, dps)
+    bg = _point_branches(small, dps)
     if bf is not None and bg is not None:
-        left_eval = _kernel_eval(_word_branches(expr.ddagger().terms, bf), bg, dps)
-        right_eval = _kernel_eval(bf, _word_branches(expr.terms, bg), dps)
+        left_eval = _kernel_eval(_word_branches(expr.ddagger().terms, bf, dps), bg, dps)
+        right_eval = _kernel_eval(bf, _word_branches(expr.terms, bg, dps), dps)
 
     def left_fetch(n: int):
         with working(dps):

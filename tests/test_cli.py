@@ -265,6 +265,12 @@ def test_adjoint_command(capsys):
     )
 
 
+def test_adjoint_rejects_words_over_the_cap(capsys):
+    rc, _, err = run_cli(capsys, ["adjoint", " ".join(["x"] * 33), "delta", "exp(1)"])
+    assert rc == 1
+    assert "cap of 32" in json.loads(err)["error"]
+
+
 def test_adjoint_divergent_sides_exit_three(capsys):
     rc, out, err = run_cli(capsys, ["adjoint", "1", "delta", "delta"])
     assert rc == 3

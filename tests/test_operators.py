@@ -15,10 +15,11 @@ from eprod.distributions import (
     L2Sample,
     coeff_sequence,
 )
-from eprod.eproduct import SummationConfig
+from eprod.eproduct import SummationConfig, _point_branches, _word_branches
 from eprod.exact import ComplexRational
 from eprod.operators import (
     LETTERS,
+    MAX_WORD_LENGTH,
     InconclusivePairingError,
     OperatorExpr,
     adjoint_check,
@@ -34,6 +35,13 @@ CDAG = OperatorExpr.letter("cdag")
 X = OperatorExpr.letter("x")
 D = OperatorExpr.letter("d")
 ID = OperatorExpr.identity()
+
+
+def _power(op, k):
+    out = ID
+    for _ in range(k):
+        out = out @ op
+    return out
 
 
 def _seq(*coeffs):
@@ -56,6 +64,15 @@ def test_letters_and_identity():
         OperatorExpr.letter("a")
     with pytest.raises(ValueError):
         OperatorExpr(((1, ("q",)),))
+
+
+def test_word_length_cap_rejects_longer_words():
+    assert MAX_WORD_LENGTH == 32
+    with pytest.raises(ValueError, match="cap of 32"):
+        OperatorExpr(((1, ("x",) * 33),))
+    word = OperatorExpr(((1, ("c",) * 16),))
+    with pytest.raises(ValueError, match="33 letters"):
+        word @ word @ C
 
 
 def test_composition_concatenates_words():
@@ -178,6 +195,62 @@ def test_canonical_commutator_is_identity():
             assert abs(out(n) - f(n)) < mpf("1e-36")
 
 
+def _letter_by_letter(word, seq):
+    """(word s)_n by the letter definitions, rightmost letter first."""
+
+    def act(letter, fn):
+        def value(n):
+            up = mp.sqrt(n + 1) * fn(n + 1)
+            down = mp.sqrt(n) * fn(n - 1) if n else mpf(0)
+            if letter == "c":
+                return up
+            if letter == "cdag":
+                return down
+            return (up + down if letter == "x" else up - down) / mp.sqrt(2)
+
+        return value
+
+    fn = seq
+    for letter in reversed(word):
+        fn = act(letter, fn)
+    return fn
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(LETTERS), max_size=6).map(tuple),
+    st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=6),
+)
+def test_apply_operator_matches_letter_by_letter_definition(word, coeffs):
+    seq = _seq(*coeffs)
+    ordered = apply_operator(OperatorExpr(((1, word),)), seq, 40)
+    reference = _letter_by_letter(word, seq)
+    with working(40):
+        for n in range(len(coeffs) + 7):  # n = 0 is the cdag boundary
+            want = reference(n)
+            assert abs(ordered(n) - want) <= mpf("1e-35") * max(1, abs(want))
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_apply_operator_reads_at_most_length_plus_one_entries(length):
+    reads = []
+
+    def seq(n):
+        reads.append(n)
+        return mpf(1) / (n + 1)
+
+    out = apply_operator(_power(X, length), seq, 40)
+    for n in range(3 * length):
+        before = len(reads)
+        out(n)
+        assert len(reads) - before <= length + 1
+
+
+def test_word_branches_of_a_long_word_stay_few():
+    delta = _point_branches(DeltaDeriv(0), 60)
+    assert len(_word_branches(_power(X, 8).terms, delta, 60)) <= 9
+
+
 # -- the adjoint identity ------------------------------------------------------
 
 
@@ -247,3 +320,21 @@ def test_adjoint_check_with_complex_weights():
     with working(50):
         scale = max(mpf(1), abs(rep.left.value), abs(rep.right.value))
         assert rep.difference <= mpf("1e-15") * scale
+
+
+@pytest.mark.parametrize(
+    "expr,big,want",
+    [
+        (_power(D, 8), DeltaDeriv(0), Fraction(1, 2**8)),  # (1/2)**8
+        (_power(X, 8), DeltaDeriv(8), 40320),  # 8!
+        (_power(C + CDAG, 4), DeltaDeriv(4), 96),  # (sqrt(2) x)**4: 4 * 4!
+    ],
+)
+def test_adjoint_check_long_words_exact_values(expr, big, want):
+    cfg = SummationConfig()
+    rep = adjoint_check(expr, big, ExpReal(Fraction(1, 2)), cfg, 60)
+    with working(60):
+        target = mpf(want.numerator) / want.denominator
+        gate = mpf(cfg.tolerance) * max(1, target)
+        assert abs(rep.left.value - target) <= gate
+        assert abs(rep.right.value - target) <= gate
