@@ -58,6 +58,7 @@ from .eproduct import (
     series_row_source,
 )
 from .exact import ComplexRational, ExactTerm, SqrtTerm
+from .hermite import SingularKernelError
 from .operators import InconclusivePairingError, OperatorExpr, adjoint_check
 from .precision import DEFAULT_DPS, check_dps, working
 
@@ -971,11 +972,7 @@ def cmd_adjoint(args) -> int:
     right = parse_distribution(args.right)
     digits = settings.digits
     t0 = time.perf_counter()
-    try:
-        rep = adjoint_check(op, left, right, settings.cfg, digits)
-    except InconclusivePairingError as exc:
-        sys.stderr.write(_json_text({"error": str(exc)}) + "\n")
-        return 3
+    rep = adjoint_check(op, left, right, settings.cfg, digits)
     wall_ms = (time.perf_counter() - t0) * 1000
     report = {
         "schema": SCHEMA_VERSION,
@@ -1096,6 +1093,16 @@ def main(argv=None) -> int:
             _json_text({"error": str(exc), "position": exc.position}) + "\n"
         )
         return 1
+    except InconclusivePairingError as exc:
+        sys.stderr.write(_json_text({"error": str(exc)}) + "\n")
+        return 3
+    except (SingularKernelError, RuntimeError) as exc:
+        # internal faults: a failed closed-form cross-check, disagreeing
+        # moment routes, a stalled quadrature rule, a singular kernel
+        sys.stderr.write(
+            _json_text({"error": str(exc), "fault": type(exc).__name__}) + "\n"
+        )
+        return 4
     except (ValueError, OSError) as exc:
         sys.stderr.write(_json_text({"error": str(exc)}) + "\n")
         return 1

@@ -22,9 +22,11 @@ exponentials or waves (or combinations of them), stage 5 takes its Abel
 levels from the eigenfunction-kernel closed form, cross-checked once against
 direct summation; any other pair sums each Abel level term by term.
 
-The exact hypergeometric rows (`series_term`, `series_row_source`) and the
-exact pair terms of the monomial/delta families stay available for the
-exact identities they carry; the pipeline does not use them.
+The exact hypergeometric rows (`series_term`) and the exact pair terms of
+the monomial/delta families stay available for the exact identities they
+carry; the pipeline does not use them.  The (0, 0) rows are binomial
+series, so `series_row_source` carries their closed-form Abel transform and
+`abel_sum` reaches the row limits without the term loop.
 """
 
 from __future__ import annotations
@@ -574,15 +576,23 @@ def series_row_source(kind: str, dps: int = DEFAULT_DPS) -> TermSource:
     The (0, 0) rows close in elementary constants; their terms advance by
     the exact ratios (2j+1)/(2j+2) (kinds a, c) or (2j+3)/(2j+2) (b, d),
     negated for the alternating kinds, so no factorial ever materializes.
+    Those ratios make each row a binomial series, t0 (1 + r)**(-1/2) (a),
+    t0 (1 + r)**(-3/2) (b), and the same with 1 - r (c, d), which the source
+    carries as its closed-form Abel transform: rows a and b settle on
+    pi/sqrt(2) and pi/(8 sqrt(2)) at r = 1, while rows c and d diverge there.
     """
     if kind not in ("a", "b", "c", "d"):
         raise ValueError(f"unknown series kind {kind!r}")
     sign = -1 if kind in ("a", "b") else 1
     low = 1 if kind in ("a", "c") else 3
+    with working(dps):
+        t0 = series_term(kind, 0, 0, 0).to_mpf(dps)
+
+    def closed(r):
+        return t0 * (1 - sign * r) ** (-mpf(low) / 2)
 
     def row():
-        with working(dps):
-            t = series_term(kind, 0, 0, 0).to_mpf(dps)
+        t = t0
         j = 0
         while True:
             yield t
@@ -595,7 +605,7 @@ def series_row_source(kind: str, dps: int = DEFAULT_DPS) -> TermSource:
         with working(dps):
             return next(stream)
 
-    return TermSource(fetch, dps=dps)
+    return TermSource(fetch, abel_eval=closed, dps=dps)
 
 
 # -- closed-form Abel transforms through the eigenfunction kernel ------------

@@ -5,7 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpc
 
+from eprod import cli, eproduct, hermite, quadrature, special
 from eprod.cli import (
     CONFIG_ENV,
     ExprError,
@@ -15,6 +17,7 @@ from eprod.cli import (
     parse_distribution,
     parse_operator,
 )
+from eprod.exact import ExactTerm
 
 # -- grammar ------------------------------------------------------------------
 
@@ -275,6 +278,57 @@ def test_adjoint_divergent_sides_exit_three(capsys):
     rc, out, err = run_cli(capsys, ["adjoint", "1", "delta", "delta"])
     assert rc == 3
     assert "classified" in json.loads(err)["error"]
+
+
+# -- internal faults ----------------------------------------------------------------
+
+
+def run_fault(capsys, argv):
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 4 and out == ""
+    return json.loads(err)
+
+
+def test_cross_check_fault_exits_four(capsys, monkeypatch):
+    # a closed form that disagrees with the terms it stands for
+    monkeypatch.setattr(
+        eproduct, "_kernel_pair_eval", lambda F, G, dps: lambda r: mpc(999)
+    )
+    payload = run_fault(capsys, ["compute", "exp(1)", "delta"])
+    assert payload["fault"] == "RuntimeError"
+    assert "disagrees with direct summation" in payload["error"]
+
+
+def test_moment_route_mismatch_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(special, "_moment_recurrence", lambda k, p: ExactTerm.zero())
+    monkeypatch.setattr(
+        cli, "coeff", lambda d, n, dps: special.moment_integral.__wrapped__(2, 2)
+    )
+    payload = run_fault(capsys, ["coeffs", "x^2", "--n-max", "2"])
+    assert payload["fault"] == "MomentRouteMismatch"
+
+
+def test_stalled_quadrature_rule_exits_four(capsys, monkeypatch):
+    # Newton refinement from NaN seeds never converges
+    monkeypatch.setattr(
+        quadrature.numpy.polynomial.hermite,
+        "hermgauss",
+        lambda n: ([float("nan")] * n, None),
+    )
+    monkeypatch.setattr(
+        cli, "coeff", lambda d, n, dps: quadrature.gauss_hermite_rule.__wrapped__(2, 30)
+    )
+    payload = run_fault(capsys, ["coeffs", "x", "--n-max", "2"])
+    assert payload["fault"] == "RuntimeError"
+    assert "stalled" in payload["error"]
+
+
+def test_singular_kernel_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "coeff", lambda d, n, dps: hermite.eigenfunction_kernel(1, 0, 0, 0, 0, 30)
+    )
+    payload = run_fault(capsys, ["coeffs", "x", "--n-max", "2"])
+    assert payload["fault"] == "SingularKernelError"
 
 
 # -- configuration file ------------------------------------------------------------

@@ -24,6 +24,7 @@ from eprod.eproduct import (
     DIVERGENT,
     INCONCLUSIVE,
     ZERO_BY_PARITY,
+    _CROSS_CHECK_TERMS,
     ConfigError,
     SummationConfig,
     TermSource,
@@ -290,6 +291,53 @@ def test_series_row_limits():
         assert ok
         with mp.workdps(50):
             assert abs(value - want) < mpf("1e-16")
+
+
+def test_series_row_limit_through_the_term_route():
+    # the same terms without the closed form: the term loop stays covered on
+    # the paper's own series
+    src = TermSource(series_row_source("a", 30).term, dps=30)
+    value, ok, _ = abel_sum(src, SummationConfig(tolerance=1e-12), 30)
+    assert ok
+    with mp.workdps(30):
+        assert abs(value - mp.pi / mp.sqrt(2)) < mpf("1e-10")
+
+
+@pytest.mark.parametrize("kind", "abcd")
+def test_series_row_closed_form_computes_only_the_cross_check_terms(kind):
+    row = series_row_source(kind, 30)
+    fetched = []
+
+    def fetch(j):
+        fetched.append(j)
+        return row.term(j)
+
+    abel_sum(TermSource(fetch, abel_eval=row.abel_eval, dps=30), _CFG, 30)
+    assert 0 < len(fetched) <= _CROSS_CHECK_TERMS
+
+
+@pytest.mark.parametrize("kind", "abcd")
+def test_series_row_closed_form_matches_direct_summation(kind):
+    src = series_row_source(kind, 40)
+    with mp.workdps(40):
+        for r in (mpf(1) / 2, mpf(15) / 16):
+            total, j, p = mpf(0), 0, mpf(1)
+            while j < 64 or abs(src.term(j)) * p > mpf("1e-45"):
+                total += src.term(j) * p
+                p *= r
+                j += 1
+            assert abs(src.abel_eval(r) - total) < mpf("1e-35")
+
+
+def test_series_row_with_wrong_sign_closed_form_fails_the_cross_check():
+    # row a alternates; the closed form of row c is its non-alternating twin
+    src = TermSource(
+        series_row_source("a", 30).term,
+        abel_eval=series_row_source("c", 30).abel_eval,
+        dps=30,
+    )
+    with pytest.raises(RuntimeError, match="disagrees with direct summation"):
+        abel_sum(src, _CFG, 30)
 
 
 def test_pair_term_exact_is_coefficient_product():
