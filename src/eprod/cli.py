@@ -1083,11 +1083,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code when the reader of standard output goes away (128 + SIGPIPE)
+EXIT_BROKEN_PIPE = 141
+
+
+def _discard_stdout():
+    """Point standard output at devnull, so that the flush at interpreter
+    exit does not hit the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a file descriptor: nothing is left to flush
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe may only show on the flush
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except ExprError as exc:
         sys.stderr.write(
             _json_text({"error": str(exc), "position": exc.position}) + "\n"

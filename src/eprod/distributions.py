@@ -11,7 +11,7 @@ is the action F[e_n].  The supported variants are
     CosWave(w), SinWave(w)   cos(w x), sin(w x), w rational
     L2Sample                 a square-integrable function, either as a finite
                              coefficient vector or as a callable (projected
-                             numerically)
+                             numerically, up to the resolution of the rule)
     LinearCombo              finite complex combinations of the above
 
 Coefficient streams are memoized per distribution and extend incrementally;
@@ -139,7 +139,9 @@ class L2Sample:
     """Square-integrable element, given either way:
 
     coeffs: finite tuple of basis coefficients (index = position), or
-    fn:     a callable x -> value, projected by quadrature on demand.
+    fn:     a callable x -> value, projected by the direct Gauss-Hermite rule
+            (``quadrature.l2_coefficients``) when its stream is first built;
+            its coefficients past the rule's resolution are 0.
     """
 
     coeffs: Optional[tuple] = None
@@ -266,14 +268,27 @@ def support_bound(d: Distribution) -> Optional[int]:
 
 
 class CoeffSequence:
-    """Memoized random-access view of the coefficients of one distribution."""
+    """Memoized random-access view of the coefficients of one distribution.
 
-    def __init__(self, extend, parity_: Optional[int], support: Optional[int], dps: int):
+    ``support`` (when not None) is the index from which every coefficient
+    is 0.  ``low_confidence`` marks a stream with a projected callable whose
+    coefficients had not settled at the largest rule.
+    """
+
+    def __init__(
+        self,
+        extend,
+        parity_: Optional[int],
+        support: Optional[int],
+        dps: int,
+        low_confidence: bool = False,
+    ):
         self._extend = extend  # extend(values, target): grow values past target
         self._values: list = []
         self.parity = parity_
         self.support = support
         self.dps = dps
+        self.low_confidence = low_confidence
 
     def __call__(self, n: int) -> mpc:
         if n < 0:
@@ -400,22 +415,16 @@ def _wave_extend(freq: Fraction, odd: bool):
     return extend
 
 
-def _l2_extend(sample: L2Sample, dps: int):
+def _vector_extend(coeffs, dps: int):
     def extend(values, target):
         while len(values) <= target:
             n = len(values)
-            if sample.coeffs is not None:
-                c = sample.coeffs[n] if n < len(sample.coeffs) else 0
-                values.append(to_mpc(c, dps))
-            else:
-                values.append(mpc(quadrature.basis_projection(sample.fn, n, dps)))
+            values.append(to_mpc(coeffs[n] if n < len(coeffs) else 0, dps))
 
     return extend
 
 
-def _combo_extend(combo: LinearCombo, dps: int):
-    inner = [(to_mpc(s, dps), coeff_sequence(part, dps)) for s, part in combo.parts]
-
+def _combo_extend(inner):
     def extend(values, target):
         while len(values) <= target:
             n = len(values)
@@ -470,10 +479,23 @@ def coeff_sequence(d: Distribution, dps: int = DEFAULT_DPS) -> CoeffSequence:
         seq = CoeffSequence(_wave_extend(d.freq, odd=False), 0, None, dps)
     elif isinstance(d, SinWave):
         seq = CoeffSequence(_wave_extend(d.freq, odd=True), 1, None, dps)
+    elif isinstance(d, L2Sample) and d.fn is None:
+        seq = CoeffSequence(_vector_extend(d.coeffs, dps), parity(d), support_bound(d), dps)
     elif isinstance(d, L2Sample):
-        seq = CoeffSequence(_l2_extend(d, dps), parity(d), support_bound(d), dps)
+        coeffs, settled = quadrature.l2_coefficients(d.fn, dps)
+        seq = CoeffSequence(
+            _vector_extend(coeffs, dps), None, len(coeffs), dps, low_confidence=not settled
+        )
     elif isinstance(d, LinearCombo):
-        seq = CoeffSequence(_combo_extend(d, dps), parity(d), support_bound(d), dps)
+        inner = [(to_mpc(s, dps), coeff_sequence(part, dps)) for s, part in d.parts if s != 0]
+        supports = [seq.support for _, seq in inner]
+        seq = CoeffSequence(
+            _combo_extend(inner),
+            parity(d),
+            None if None in supports else max(supports, default=0),
+            dps,
+            low_confidence=any(seq.low_confidence for _, seq in inner),
+        )
     else:
         raise TypeError(f"not a distribution: {d!r}")
     if key is not None:

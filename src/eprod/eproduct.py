@@ -51,7 +51,6 @@ from .distributions import (
     coeff_exact,
     coeff_sequence,
     parity,
-    support_bound,
 )
 from .exact import ExactTerm, SqrtTerm
 from .extrapolate import richardson_dyadic, wynn_epsilon
@@ -174,6 +173,8 @@ class TermSource:
     whole Abel transform r |-> sum_j t_j r**basis_index(j).  ``dps`` (when
     given) is the precision the source's own terms were computed at, and
     replaces the caller's working precision when it is classified and summed.
+    ``low_confidence`` carries over to the result's diagnostics: the terms
+    come from a projected callable that had not settled.
     """
 
     def __init__(
@@ -186,6 +187,7 @@ class TermSource:
         support: Optional[int] = None,
         abel_eval: Optional[Callable] = None,
         dps: Optional[int] = None,
+        low_confidence: bool = False,
     ):
         self._fetch = fetch
         self.stride = stride
@@ -194,6 +196,7 @@ class TermSource:
         self.support = support
         self.abel_eval = abel_eval
         self.dps = dps
+        self.low_confidence = low_confidence
         self._memo: list = []
 
     def basis_index(self, j: int) -> int:
@@ -373,7 +376,7 @@ def _cross_check_level(source: TermSource, r, closed_value):
 
 def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProductResult:
     """Run the classification pipeline over one term stream."""
-    diag = Diagnostics()
+    diag = Diagnostics(low_confidence=source.low_confidence)
     if source.structural_zero:
         diag.message = "every term vanishes by parity"
         return EProductResult(ZERO_BY_PARITY, mpc(0), 0, diag, cfg)
@@ -414,6 +417,8 @@ def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProd
         if finite:
             value = sums[-1] if sums else mpc(0)
             diag.message = "finite support: exact truncated sum"
+            if source.low_confidence:
+                diag.message += "; a projected callable did not settle"
             return EProductResult(
                 ABSOLUTELY_CONVERGENT, value, diag.n_scanned, diag, cfg
             )
@@ -753,12 +758,11 @@ def _generic_source(F, G, dps: int) -> TermSource:
     """Term source of a pairing whose parities are not opposite
     (``classify_and_sum`` settles those first)."""
     pf, pg = parity(F), parity(G)
-    bf, bg = support_bound(F), support_bound(G)
-    bounds = [x for x in (bf, bg) if x is not None]
-    support = min(bounds) if bounds else None
     stride, offset = (2, pf) if (pf is not None and pf == pg) else (1, 0)
     seq_f = coeff_sequence(F, dps)
     seq_g = coeff_sequence(G, dps)
+    bounds = [s.support for s in (seq_f, seq_g) if s.support is not None]
+    support = min(bounds) if bounds else None
 
     def fetch(j: int):
         n = offset + stride * j
@@ -771,6 +775,7 @@ def _generic_source(F, G, dps: int) -> TermSource:
         offset=offset,
         support=support,
         abel_eval=None if support is not None else _kernel_pair_eval(F, G, dps),
+        low_confidence=seq_f.low_confidence or seq_g.low_confidence,
     )
 
 

@@ -291,8 +291,9 @@ def adjoint_check(
         with working(dps):
             return mp.conj(f(n)) * right_seq(n)
 
-    lsrc = TermSource(left_fetch, abel_eval=left_eval)
-    rsrc = TermSource(right_fetch, abel_eval=right_eval)
+    unsettled = f.low_confidence or g.low_confidence
+    lsrc = TermSource(left_fetch, abel_eval=left_eval, low_confidence=unsettled)
+    rsrc = TermSource(right_fetch, abel_eval=right_eval, low_confidence=unsettled)
     left = classify_series(lsrc, cfg, dps)
     right = classify_series(rsrc, cfg, dps)
     if not (left.has_value and right.has_value):

@@ -1,6 +1,9 @@
 """Expression grammar, report shapes, exit codes, and config precedence."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -310,11 +313,7 @@ def test_moment_route_mismatch_exits_four(capsys, monkeypatch):
 
 def test_stalled_quadrature_rule_exits_four(capsys, monkeypatch):
     # Newton refinement from NaN seeds never converges
-    monkeypatch.setattr(
-        quadrature.numpy.polynomial.hermite,
-        "hermgauss",
-        lambda n: ([float("nan")] * n, None),
-    )
+    monkeypatch.setattr(quadrature, "_float_seeds", lambda n: [float("nan")] * ((n + 1) // 2))
     monkeypatch.setattr(
         cli, "coeff", lambda d, n, dps: quadrature.gauss_hermite_rule.__wrapped__(2, 30)
     )
@@ -329,6 +328,48 @@ def test_singular_kernel_exits_four(capsys, monkeypatch):
     )
     payload = run_fault(capsys, ["coeffs", "x", "--n-max", "2"])
     assert payload["fault"] == "SingularKernelError"
+
+
+class _ClosedPipe:
+    """Standard output whose reader has gone away, failing on write or on flush."""
+
+    def __init__(self, on_write):
+        self.on_write = on_write
+
+    def write(self, text):
+        if self.on_write:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("on_write", [True, False])
+def test_closed_stdout_exits_quietly(capsys, monkeypatch, on_write):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(on_write))
+    rc = main(["coeffs", "x", "--n-max", "2", "--format", "json"])
+    assert rc == cli.EXIT_BROKEN_PIPE != 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_leaves_nothing_for_the_exit_flush():
+    # no reader at all: the write fails at once, and the interpreter's own
+    # flush at exit must not report the pipe a second time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from eprod.cli import main; sys.exit(main(sys.argv[1:]))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "coeffs", "x", "--n-max", "2", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
 
 
 # -- configuration file ------------------------------------------------------------
