@@ -14,25 +14,29 @@ is the action F[e_n].  The supported variants are
                              numerically, up to the resolution of the rule)
     LinearCombo              finite complex combinations of the above
 
-Coefficient streams are memoized per distribution and extend incrementally;
-each family's engine is a single normalized recurrence, so random access to
-coefficient n costs O(n) once and O(1) after.
+Every variant but L2Sample is a point variant: its coefficients are a finite
+combination of i**(s n) e_n^(j)(x0), described once by ``point_branches``.
+Its stream runs the differentiated recurrence of the e_n on that branch list
+(``branches.branch_stream``), and its parity is read off the same list.
+Streams are memoized per distribution and extend incrementally, so random
+access to coefficient n costs O(n) once and O(1) after.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Union, get_args
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
 from . import quadrature
+from .branches import I_POWERS, branch_stream
 from .exact import SqrtTerm
-from .precision import DEFAULT_DPS, to_mpc, working
-from .special import moment_integral
+from .hermite import derivative_at_zero_via_moments
+from .precision import DEFAULT_DPS, to_mpc, to_mpf, working
 
 __all__ = [
     "DeltaDeriv",
@@ -49,6 +53,7 @@ __all__ = [
     "zero_distribution",
     "is_zero_distribution",
     "parity",
+    "point_branches",
     "coeff",
     "coeff_sequence",
     "coeff_exact",
@@ -163,7 +168,7 @@ class LinearCombo:
     def __post_init__(self):
         cleaned = []
         for scalar, part in self.parts:
-            if not _is_distribution(part):
+            if not isinstance(part, _VARIANTS):
                 raise TypeError(f"not a distribution: {part!r}")
             cleaned.append((scalar, part))
         object.__setattr__(self, "parts", tuple(cleaned))
@@ -181,21 +186,7 @@ Distribution = Union[
     LinearCombo,
 ]
 
-_VARIANTS = (
-    DeltaDeriv,
-    Monomial,
-    NormalizedDeltaDeriv,
-    NormalizedMonomial,
-    ExpReal,
-    CosWave,
-    SinWave,
-    L2Sample,
-    LinearCombo,
-)
-
-
-def _is_distribution(obj) -> bool:
-    return isinstance(obj, _VARIANTS)
+_VARIANTS = get_args(Distribution)
 
 
 def zero_distribution() -> LinearCombo:
@@ -206,89 +197,75 @@ def is_zero_distribution(d) -> bool:
     return isinstance(d, LinearCombo) and not d.parts
 
 
-# -- parity ------------------------------------------------------------------
+# -- point branches ------------------------------------------------------------
 
 
-def parity(d: Distribution) -> Optional[int]:
-    """0 if only even-index coefficients can be nonzero, 1 for odd, None unknown."""
-    if isinstance(d, DeltaDeriv):
-        return d.order % 2
-    if isinstance(d, Monomial):
-        return d.degree % 2
-    if isinstance(d, (NormalizedDeltaDeriv, NormalizedMonomial)):
-        return d.index % 2
-    if isinstance(d, ExpReal):
-        return 0 if d.rate == 0 else None
-    if isinstance(d, CosWave):
-        return 0
-    if isinstance(d, SinWave):
-        return 1
-    if isinstance(d, L2Sample):
-        if d.coeffs is None:
-            return None
-        live = [n % 2 for n, c in enumerate(d.coeffs) if c != 0]
-        if not live:
-            return None
-        if all(p == 0 for p in live):
-            return 0
-        if all(p == 1 for p in live):
-            return 1
+def point_branches(d: Distribution, dps: int):
+    """Branch list [(coeff, s, x0, j)] of a point variant, or None.
+
+    F[e_n] = sum_b coeff_b * i**(s_b n) * e_n^(j_b)(x0_b); ``branches``
+    computes the stream, the parity and the closed-form Abel transform from
+    it.  None for an ``L2Sample`` and any combination holding one.
+    Coefficients and evaluation points are realized once at ``dps``.
+    """
+    with working(dps):
+        if isinstance(d, DeltaDeriv):
+            return [(mpc((-1) ** d.order), 0, mpc(0), d.order)]
+        if isinstance(d, NormalizedDeltaDeriv):
+            m = d.index
+            return [(mpc(1) / mp.sqrt(mp.factorial(m)), 0, mpc(0), m)]
+        if isinstance(d, (Monomial, NormalizedMonomial)):
+            # x**p = d**p/dg**p exp(g x) at g = 0; each d/dg of the exp branch
+            # e_n(-i g) below brings down -i and one x-derivative
+            if isinstance(d, Monomial):
+                p, norm = d.degree, 1
+            else:
+                p, norm = d.index, math.factorial(d.index)
+            return [(mp.sqrt(2 * mp.pi / norm) * I_POWERS[3 * p % 4], 1, mpc(0), p)]
+        if isinstance(d, ExpReal):
+            x0 = mpc(0, -1) * to_mpf(d.rate, dps)
+            return [(mpc(mp.sqrt(2 * mp.pi)), 1, x0, 0)]
+        if isinstance(d, (CosWave, SinWave)):
+            x0 = mpc(to_mpf(d.freq, dps))
+            half = mp.sqrt(2 * mp.pi) / 2
+            if isinstance(d, CosWave):
+                return [(mpc(half), 1, x0, 0), (mpc(half), 3, x0, 0)]
+            return [(mpc(0, -1) * half, 1, x0, 0), (mpc(0, 1) * half, 3, x0, 0)]
+        if isinstance(d, LinearCombo):
+            out = []
+            for scalar, part in d.parts:
+                sub = point_branches(part, dps)
+                if sub is None:
+                    return None
+                sc = to_mpc(scalar, dps)
+                out += [(sc * coeff, s, x0, j) for coeff, s, x0, j in sub]
+            return out
         return None
-    if isinstance(d, LinearCombo):
-        seen = set()
-        for scalar, part in d.parts:
-            if scalar == 0:
-                continue
-            seen.add(parity(part))
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-    raise TypeError(f"not a distribution: {d!r}")
 
 
-def support_bound(d: Distribution) -> Optional[int]:
-    """n such that all coefficients with index >= n vanish, when known."""
-    if isinstance(d, L2Sample) and d.coeffs is not None:
-        live = [n for n, c in enumerate(d.coeffs) if c != 0]
-        return (max(live) + 1) if live else 0
-    if isinstance(d, LinearCombo):
-        bounds = []
-        for scalar, part in d.parts:
-            if scalar == 0:
-                continue
-            b = support_bound(part)
-            if b is None:
-                return None
-            bounds.append(b)
-        return max(bounds, default=0)
-    return None
+# -- coefficient streams -------------------------------------------------------
 
 
-# -- coefficient engines -----------------------------------------------------
-
-
+@dataclass(eq=False)
 class CoeffSequence:
     """Memoized random-access view of the coefficients of one distribution.
 
-    ``support`` (when not None) is the index from which every coefficient
-    is 0.  ``low_confidence`` marks a stream with a projected callable whose
-    coefficients had not settled at the largest rule.
+    ``extend(values, target)`` grows the memo past index target.
+    ``parity`` (when not None) is the index parity outside which every
+    coefficient is 0, and ``support`` (when not None) the index from which
+    every coefficient is 0.  ``low_confidence`` marks a stream with a
+    projected callable whose coefficients had not settled at the largest
+    rule.  ``branches`` is the point-branch list the stream was built from,
+    None when it holds an ``L2Sample``.
     """
 
-    def __init__(
-        self,
-        extend,
-        parity_: Optional[int],
-        support: Optional[int],
-        dps: int,
-        low_confidence: bool = False,
-    ):
-        self._extend = extend  # extend(values, target): grow values past target
-        self._values: list = []
-        self.parity = parity_
-        self.support = support
-        self.dps = dps
-        self.low_confidence = low_confidence
+    _extend: Callable
+    parity: Optional[int]
+    support: Optional[int]
+    dps: int
+    low_confidence: bool = False
+    branches: Optional[list] = None
+    _values: list = field(default_factory=list, init=False)
 
     def __call__(self, n: int) -> mpc:
         if n < 0:
@@ -301,208 +278,88 @@ class CoeffSequence:
         return self._values[n]
 
 
-def _delta_extend(order: int):
-    rows = [[] for _ in range(order + 1)]
-
-    def extend(values, target):
-        if not rows[0]:
-            # e_0^(j)(0) = pi**(-1/4) * (j-1)!! * (-1)^(j/2) for even j, else 0
-            quarter = mp.pi ** mpf("-0.25")
-            for j in range(order + 1):
-                if j % 2:
-                    rows[j].append(mpf(0))
-                else:
-                    dfact = math.prod(range(1, j, 2)) if j else 1
-                    rows[j].append(quarter * ((-1) ** (j // 2)) * dfact)
-            values.append(((-1) ** order) * rows[order][0])
-        while len(values) <= target:
-            n = len(values)
-            a = mp.sqrt(mpf(2) / n)
-            b = mp.sqrt(mpf(n - 1) / n)
-            for j in range(order + 1):
-                v = a * j * rows[j - 1][n - 1] if j else mpf(0)
-                if n >= 2:
-                    v -= b * rows[j][n - 2]
-                rows[j].append(v)
-            values.append(((-1) ** order) * rows[order][n])
-
-    return extend
-
-
-def _monomial_extend(degree: int):
-    # J(k, p) = I(k, p) / sqrt(2**k k! sqrt(pi)); the recurrences for I carry
-    # over with the normalizers absorbed:
-    #   J(k, 0) = sqrt((k-1)/k) J(k-2, 0),  J(0,0) = sqrt(2) pi**(1/4)
-    #   J(k, p) = sqrt(2 k) J(k-1, p-1) + (p-1) J(k, p-2)
-    rows = [[] for _ in range(degree + 1)]
-
-    def extend(values, target):
-        if not rows[0]:
-            base = mp.sqrt(2) * mp.pi ** mpf("0.25")
-            col = [base]
-            for p in range(1, degree + 1):
-                col.append((p - 1) * col[p - 2] if p >= 2 else mpf(0))
-            for p in range(degree + 1):
-                rows[p].append(col[p])
-            values.append(rows[degree][0])
-        while len(values) <= target:
-            k = len(values)
-            if k == 1:
-                j0 = mpf(0)
-            else:
-                j0 = mp.sqrt(mpf(k - 1) / k) * rows[0][k - 2]
-            rows[0].append(j0)
-            root = mp.sqrt(mpf(2 * k))
-            for p in range(1, degree + 1):
-                v = root * rows[p - 1][k - 1]
-                if p >= 2:
-                    v += (p - 1) * rows[p - 2][k]
-                rows[p].append(v)
-            values.append(rows[degree][k])
-
-    return extend
-
-
-def _exp_extend(rate: Fraction):
-    # u_{n+1} = g sqrt(2/(n+1)) u_n + sqrt(n/(n+1)) u_{n-1}, u_0 = 1;
-    # coefficient = sqrt(2) pi**(1/4) exp(g**2/2) u_n
-    u: list = []
-    g = scale = None
-
-    def extend(values, target):
-        nonlocal g, scale
-        if not u:  # CoeffSequence always extends at its own precision
-            g = mpf(rate.numerator) / rate.denominator
-            scale = mp.sqrt(2) * mp.pi ** mpf("0.25") * mp.exp(g * g / 2)
-            u.append(mpf(1))
-        while len(u) <= target:
-            n = len(u) - 1
-            nxt = g * mp.sqrt(mpf(2) / (n + 1)) * u[-1]
-            if n:
-                nxt += mp.sqrt(mpf(n) / (n + 1)) * u[-2]
-            u.append(nxt)
-        while len(values) <= target:
-            values.append(scale * u[len(values)])
-
-    return extend
-
-
-def _wave_extend(freq: Fraction, odd: bool):
-    # cos: coefficient at n = 2l is (-1)**l sqrt(2 pi) e_n(w); odd n vanish.
-    # sin: coefficient at n = 2l+1 is (-1)**l sqrt(2 pi) e_n(w); even n vanish.
-    e: list = []
-    w = scale = None
-
-    def extend(values, target):
-        nonlocal w, scale
-        if not e:  # CoeffSequence always extends at its own precision
-            w = mpf(freq.numerator) / freq.denominator
-            scale = mp.sqrt(2 * mp.pi)
-            e.append(mp.pi ** mpf("-0.25") * mp.exp(-w * w / 2))
-        while len(e) <= target:
-            n = len(e) - 1
-            nxt = mp.sqrt(mpf(2) / (n + 1)) * w * e[-1]
-            if n:
-                nxt -= mp.sqrt(mpf(n) / (n + 1)) * e[-2]
-            e.append(nxt)
-        while len(values) <= target:
-            n = len(values)
-            if (n % 2 == 1) != odd:
-                values.append(mpf(0))
-            else:
-                values.append(((-1) ** (n // 2)) * scale * e[n])
-
-    return extend
-
-
 def _vector_extend(coeffs, dps: int):
+    # the stream's support stops every request inside the vector
     def extend(values, target):
-        while len(values) <= target:
-            n = len(values)
-            values.append(to_mpc(coeffs[n] if n < len(coeffs) else 0, dps))
+        values += [to_mpc(c, dps) for c in coeffs[len(values) : target + 1]]
 
     return extend
 
 
 def _combo_extend(inner):
     def extend(values, target):
-        while len(values) <= target:
-            n = len(values)
-            total = mpc(0)
-            for s, seq in inner:
-                total += s * seq(n)
-            values.append(total)
+        for n in range(len(values), target + 1):
+            values.append(sum((s * seq(n) for s, seq in inner), mpc(0)))
 
     return extend
 
 
+def _common(values) -> Optional[int]:
+    """The one value in ``values``, or None when there are none or several."""
+    values = set(values)
+    return values.pop() if len(values) == 1 else None
+
+
+# entries kept by the stream cache
+SEQUENCE_CACHE_SIZE = 256
+# (distribution, dps) -> stream, least recently used first
 _sequence_cache: dict = {}
 
 
 def coeff_sequence(d: Distribution, dps: int = DEFAULT_DPS) -> CoeffSequence:
-    """The memoized coefficient stream of d at the given precision."""
+    """The memoized coefficient stream of d at the given precision.
+
+    A point variant, or a combination of them, streams from its branch list;
+    an ``L2Sample`` from its coefficients; any other combination sums its
+    parts' streams.
+    """
+    key = (d, dps)
     try:
-        key = (d, dps)
-        cached = _sequence_cache.get(key)
+        seq = _sequence_cache.pop(key, None)
     except TypeError:  # unhashable (shouldn't happen: variants are frozen)
-        key = None
-        cached = None
-    if cached is not None:
-        return cached
-    if isinstance(d, DeltaDeriv):
-        seq = CoeffSequence(_delta_extend(d.order), d.order % 2, None, dps)
-    elif isinstance(d, NormalizedDeltaDeriv):
-        base = coeff_sequence(DeltaDeriv(d.index), dps)
-        with working(dps):
-            scale = ((-1) ** d.index) / mp.sqrt(mp.factorial(d.index))
+        key = seq = None
+    if seq is None:
+        seq = _build_sequence(d, dps)
+        while len(_sequence_cache) >= SEQUENCE_CACHE_SIZE:
+            del _sequence_cache[next(iter(_sequence_cache))]
+    if key is not None:
+        _sequence_cache[key] = seq
+    return seq
 
-        def extend_nd(values, target, base=base, scale=scale):
-            while len(values) <= target:
-                values.append(scale * base(len(values)))
 
-        seq = CoeffSequence(extend_nd, d.index % 2, None, dps)
-    elif isinstance(d, Monomial):
-        seq = CoeffSequence(_monomial_extend(d.degree), d.degree % 2, None, dps)
-    elif isinstance(d, NormalizedMonomial):
-        base = coeff_sequence(Monomial(d.index), dps)
-        with working(dps):
-            scale = 1 / mp.sqrt(mp.factorial(d.index))
-
-        def extend_nm(values, target, base=base, scale=scale):
-            while len(values) <= target:
-                values.append(scale * base(len(values)))
-
-        seq = CoeffSequence(extend_nm, d.index % 2, None, dps)
-    elif isinstance(d, ExpReal):
-        seq = CoeffSequence(_exp_extend(d.rate), parity(d), None, dps)
-    elif isinstance(d, CosWave):
-        seq = CoeffSequence(_wave_extend(d.freq, odd=False), 0, None, dps)
-    elif isinstance(d, SinWave):
-        seq = CoeffSequence(_wave_extend(d.freq, odd=True), 1, None, dps)
-    elif isinstance(d, L2Sample) and d.fn is None:
-        seq = CoeffSequence(_vector_extend(d.coeffs, dps), parity(d), support_bound(d), dps)
-    elif isinstance(d, L2Sample):
+def _build_sequence(d: Distribution, dps: int) -> CoeffSequence:
+    branches = point_branches(d, dps)
+    if branches is not None:
+        extend, parity_ = branch_stream(branches, dps)
+        return CoeffSequence(extend, parity_, None, dps, branches=branches)
+    if isinstance(d, L2Sample):
+        if d.fn is None:
+            live = [n for n, c in enumerate(d.coeffs) if c != 0]
+            support = max(live, default=-1) + 1
+            return CoeffSequence(
+                _vector_extend(d.coeffs, dps), _common(n % 2 for n in live), support, dps
+            )
         coeffs, settled = quadrature.l2_coefficients(d.fn, dps)
-        seq = CoeffSequence(
+        return CoeffSequence(
             _vector_extend(coeffs, dps), None, len(coeffs), dps, low_confidence=not settled
         )
-    elif isinstance(d, LinearCombo):
+    if isinstance(d, LinearCombo):
         inner = [(to_mpc(s, dps), coeff_sequence(part, dps)) for s, part in d.parts if s != 0]
         supports = [seq.support for _, seq in inner]
-        seq = CoeffSequence(
+        return CoeffSequence(
             _combo_extend(inner),
-            parity(d),
+            _common(seq.parity for _, seq in inner),
             None if None in supports else max(supports, default=0),
             dps,
             low_confidence=any(seq.low_confidence for _, seq in inner),
         )
-    else:
-        raise TypeError(f"not a distribution: {d!r}")
-    if key is not None:
-        if len(_sequence_cache) > 256:
-            _sequence_cache.clear()
-        _sequence_cache[key] = seq
-    return seq
+    raise TypeError(f"not a distribution: {d!r}")
+
+
+def parity(d: Distribution) -> Optional[int]:
+    """0 if only even-index coefficients can be nonzero, 1 for odd, None
+    unknown; read off the coefficient stream (so a callable is projected)."""
+    return coeff_sequence(d).parity
 
 
 def coeff(d: Distribution, n: int, dps: int = DEFAULT_DPS) -> mpc:
@@ -517,30 +374,23 @@ def coeff(d: Distribution, n: int, dps: int = DEFAULT_DPS) -> mpc:
 
 @lru_cache(maxsize=4096)
 def coeff_exact(d: Distribution, n: int) -> Optional[SqrtTerm]:
-    """Exact coefficient as a SqrtTerm, for the variants that admit one."""
-    if isinstance(d, Monomial):
-        if (n + d.degree) % 2:
-            return SqrtTerm.zero()
-        value = SqrtTerm.from_exact_term(moment_integral(n, d.degree))
-        return value * SqrtTerm(
-            Fraction(1), Fraction(1, 2**n * math.factorial(n)), -1
-        )
-    if isinstance(d, NormalizedMonomial):
-        inner = coeff_exact(Monomial(d.index), n)
-        return inner * SqrtTerm(Fraction(1), Fraction(1, math.factorial(d.index)))
+    """Exact coefficient as a SqrtTerm, for the point-mass and monomial families.
+
+    Their branch lists read delta^(k)[e_n] = (-1)**k e_n^(k)(0) and
+    x**p[e_n] = sqrt(2 pi) i**(n - p) e_n^(p)(0); e_n^(k)(0) comes from the
+    moment route (``hermite.derivative_at_zero_via_moments``).
+    """
+    if isinstance(d, (NormalizedMonomial, NormalizedDeltaDeriv)):
+        m = d.index
+        sign = 1 if isinstance(d, NormalizedMonomial) else (-1) ** m
+        plain = Monomial(m) if isinstance(d, NormalizedMonomial) else DeltaDeriv(m)
+        return coeff_exact(plain, n) * SqrtTerm(Fraction(sign), Fraction(1, math.factorial(m)))
     if isinstance(d, DeltaDeriv):
-        # (-1)**k e_n^(k)(0), with the moment-route closed form for e_n^(k)(0)
         k = d.order
-        if (n + k) % 2:
-            return SqrtTerm.zero()
-        sign = (-1) ** k * (-1) ** (((k - n) // 2) % 2)
-        value = SqrtTerm.from_exact_term(moment_integral(n, k))
-        value = value * SqrtTerm(Fraction(sign), Fraction(1, 2), -2)
-        return value * SqrtTerm(Fraction(1), Fraction(1, 2**n * math.factorial(n)), -1)
-    if isinstance(d, NormalizedDeltaDeriv):
-        inner = coeff_exact(DeltaDeriv(d.index), n)
-        sign = (-1) ** d.index
-        return inner * SqrtTerm(Fraction(sign), Fraction(1, math.factorial(d.index)))
+        return derivative_at_zero_via_moments(n, k) * SqrtTerm(Fraction((-1) ** k))
+    if isinstance(d, Monomial):
+        phase = (-1) ** ((n - d.degree) // 2 % 2)  # i**(n - p) wherever n - p is even
+        return derivative_at_zero_via_moments(n, d.degree) * SqrtTerm(Fraction(phase), 2, 2)
     return None
 
 

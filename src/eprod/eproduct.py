@@ -16,11 +16,13 @@ runs a fixed pipeline over the term stream:
        by a Wynn epsilon estimate  ->  AbelSummable
     6. otherwise          ->  Inconclusive
 
-Every pairing has one term source.  A finite support gives the exact
-truncated sum.  Otherwise, when both sides are point masses, monomials,
-exponentials or waves (or combinations of them), stage 5 takes its Abel
-levels from the eigenfunction-kernel closed form, cross-checked once against
-direct summation; any other pair sums each Abel level term by term.
+Every pairing has one term source, read off the two coefficient streams.
+A finite support gives the exact truncated sum.  Otherwise, when both
+streams come from point-branch lists (point masses, monomials, exponentials,
+waves and their combinations), stage 5 takes its Abel levels from the
+eigenfunction-kernel closed form over the same two lists
+(``branches.kernel_eval``), cross-checked once against direct summation of
+the streams; any other pair sums each Abel level term by term.
 
 The exact hypergeometric rows (`series_term`) and the exact pair terms of
 the monomial/delta families stay available for the exact identities they
@@ -38,24 +40,17 @@ from typing import Callable, Optional
 
 from mpmath import mp, mpc, mpf
 
+from .branches import kernel_eval
 from .distributions import (
-    CosWave,
-    DeltaDeriv,
     Distribution,
-    ExpReal,
-    LinearCombo,
-    Monomial,
     NormalizedDeltaDeriv,
     NormalizedMonomial,
-    SinWave,
     coeff_exact,
     coeff_sequence,
-    parity,
 )
 from .exact import ExactTerm, SqrtTerm
 from .extrapolate import richardson_dyadic, wynn_epsilon
-from .hermite import eigenfunction_kernel
-from .precision import DEFAULT_DPS, check_dps, to_mpc, to_mpf, working
+from .precision import DEFAULT_DPS, check_dps, working
 from .special import gamma_half_integer, gauss_2f1_terminating
 
 __all__ = [
@@ -613,172 +608,6 @@ def series_row_source(kind: str, dps: int = DEFAULT_DPS) -> TermSource:
     return TermSource(fetch, abel_eval=closed, dps=dps)
 
 
-# -- closed-form Abel transforms through the eigenfunction kernel ------------
-#
-# Point-mass, monomial and analytic-wave coefficients all have the shape
-#
-#     coeff(d, n) = sum over branches of  lam * i**(s n) * e_n^(j)(x0),
-#
-# so conj(coeff(F, n)) * coeff(G, n) * r**n sums to a finite combination of
-# eigenfunction_kernel evaluations at w = r * i**phase.  The conjugated left
-# slot flips its phase exponent and evaluation point (the e_n have real
-# coefficients).  |w| = r < 1 keeps every evaluation off the singular set.
-
-_I_POWERS = (mpc(1), mpc(0, 1), mpc(-1), mpc(0, -1))
-
-
-def _point_branches(d: Distribution, dps: int):
-    """Branch list [(coeff, s, x0, j)] for the kernel route, or None.
-
-    Coefficients and evaluation points are realized once at ``dps``; every
-    Abel level reuses them.
-    """
-    with working(dps):
-        if isinstance(d, DeltaDeriv):
-            return [(mpc((-1) ** d.order), 0, mpc(0), d.order)]
-        if isinstance(d, NormalizedDeltaDeriv):
-            m = d.index
-            return [(mpc(1) / mp.sqrt(mp.factorial(m)), 0, mpc(0), m)]
-        if isinstance(d, (Monomial, NormalizedMonomial)):
-            # x**p = d**p/dg**p exp(g x) at g = 0; each d/dg of the exp branch
-            # e_n(-i g) below brings down -i and one x-derivative
-            if isinstance(d, Monomial):
-                p, norm = d.degree, 1
-            else:
-                p, norm = d.index, math.factorial(d.index)
-            return [(mp.sqrt(2 * mp.pi / norm) * _I_POWERS[3 * p % 4], 1, mpc(0), p)]
-        if isinstance(d, ExpReal):
-            x0 = mpc(0, -1) * to_mpf(d.rate, dps)
-            return [(mpc(mp.sqrt(2 * mp.pi)), 1, x0, 0)]
-        if isinstance(d, (CosWave, SinWave)):
-            x0 = mpc(to_mpf(d.freq, dps))
-            half = mp.sqrt(2 * mp.pi) / 2
-            if isinstance(d, CosWave):
-                return [(mpc(half), 1, x0, 0), (mpc(half), 3, x0, 0)]
-            return [(mpc(0, -1) * half, 1, x0, 0), (mpc(0, 1) * half, 3, x0, 0)]
-        if isinstance(d, LinearCombo):
-            out = []
-            for scalar, part in d.parts:
-                sub = _point_branches(part, dps)
-                if sub is None:
-                    return None
-                sc = to_mpc(scalar, dps)
-                out += [(sc * coeff, s, x0, j) for coeff, s, x0, j in sub]
-            return out
-        return None
-
-
-def _merge(branches):
-    """Like branches (same s, x0, j) summed, exact zeros dropped."""
-    merged: dict = {}
-    for coeff, s, x0, j in branches:
-        key = (s, x0, j)
-        merged[key] = merged.get(key, 0) + coeff
-    return [(coeff, s, x0, j) for (s, x0, j), coeff in merged.items() if coeff != 0]
-
-
-def _ladder_branches(branches, letter: str):
-    """Branch list of (letter applied to the sequence of a branch list).
-
-    Transfers the ladder action from the index side to the argument side:
-        sqrt(n+1) e_{n+1}^(j)(x) = (x e_n^(j) + j e_n^(j-1) - e_n^(j+1)) / sqrt(2)
-        sqrt(n)   e_{n-1}^(j)(x) = (x e_n^(j) + j e_n^(j-1) + e_n^(j+1)) / sqrt(2)
-    so the class of point-branch sources is closed under c, cdag, x, d.
-    Every letter keeps s and x0, so after merging a word of L letters on
-    one branch leaves at most j + L + 1 branches.  Runs at the caller's
-    working precision.
-    """
-    root2 = mp.sqrt(2)
-    if letter in ("x", "d"):
-        sign = 1 if letter == "x" else -1  # x = (c + cdag)/sqrt2, d = (c - cdag)/sqrt2
-        out = [(c / root2, s, x0, j) for c, s, x0, j in _ladder_branches(branches, "c")]
-        out += [
-            (sign * c / root2, s, x0, j)
-            for c, s, x0, j in _ladder_branches(branches, "cdag")
-        ]
-        return _merge(out)
-    if letter not in ("c", "cdag"):
-        raise ValueError(f"unknown ladder letter {letter!r}")
-    out = []
-    for coeff, s, x0, j in branches:
-        # (c g)_n picks up the branch's index phase once: i**(s(n+1)) = i**s i**(sn)
-        phase = (s if letter == "c" else (4 - s)) % 4
-        tip = -1 if letter == "c" else 1
-        base = coeff * _I_POWERS[phase] / root2
-        out.append((base * x0, s, x0, j))
-        if j >= 1:
-            out.append((base * j, s, x0, j - 1))
-        out.append((tip * base, s, x0, j + 1))
-    return _merge(out)
-
-
-def _word_branches(terms, branches, dps: int):
-    """Branches of (sum_t scalar_t * word_t) applied to a point-branch list,
-    like branches merged across the words."""
-    with working(dps):
-        out = []
-        for scalar, word in terms:
-            cur = branches
-            for letter in reversed(word):  # rightmost letter acts first
-                cur = _ladder_branches(cur, letter)
-            sc = to_mpc(scalar, dps)
-            out += [(sc * coeff, s, x0, j) for coeff, s, x0, j in cur]
-        return _merge(out)
-
-
-def _kernel_eval(branches_f, branches_g, dps: int):
-    """r -> sum_n conj(f_n) g_n r**n over two point-branch lists."""
-    with working(dps):  # conj rounds to the ambient precision
-        left = [
-            (mp.conj(c), (4 - s) % 4, mp.conj(x0), j) for c, s, x0, j in branches_f
-        ]
-
-    def evaluate(r):
-        total = mpc(0)
-        for c_f, s_f, x_f, j_f in left:
-            for c_g, s_g, x_g, j_g in branches_g:
-                w = mpc(r) * _I_POWERS[(s_f + s_g) % 4]
-                kval = eigenfunction_kernel(w, x_f, x_g, j_f, j_g, mp.dps)
-                total += c_f * c_g * kval
-        return total
-
-    return evaluate
-
-
-def _kernel_pair_eval(F: Distribution, G: Distribution, dps: int):
-    """r -> sum_n conj(coeff(F,n)) coeff(G,n) r**n in closed form, or None."""
-    branches_f = _point_branches(F, dps)
-    branches_g = _point_branches(G, dps)
-    if branches_f is None or branches_g is None:
-        return None
-    return _kernel_eval(branches_f, branches_g, dps)
-
-
-def _generic_source(F, G, dps: int) -> TermSource:
-    """Term source of a pairing whose parities are not opposite
-    (``classify_and_sum`` settles those first)."""
-    pf, pg = parity(F), parity(G)
-    stride, offset = (2, pf) if (pf is not None and pf == pg) else (1, 0)
-    seq_f = coeff_sequence(F, dps)
-    seq_g = coeff_sequence(G, dps)
-    bounds = [s.support for s in (seq_f, seq_g) if s.support is not None]
-    support = min(bounds) if bounds else None
-
-    def fetch(j: int):
-        n = offset + stride * j
-        with working(dps):
-            return mp.conj(seq_f(n)) * seq_g(n)
-
-    return TermSource(
-        fetch,
-        stride=stride,
-        offset=offset,
-        support=support,
-        abel_eval=None if support is not None else _kernel_pair_eval(F, G, dps),
-        low_confidence=seq_f.low_confidence or seq_g.low_confidence,
-    )
-
-
 def classify_and_sum(
     F: Distribution,
     G: Distribution,
@@ -788,11 +617,32 @@ def classify_and_sum(
     """Classify and (when meaningful) evaluate the pairing of F and G."""
     cfg = cfg or SummationConfig()
     check_dps(dps)
-    pf, pg = parity(F), parity(G)
+    seq_f = coeff_sequence(F, dps)
+    seq_g = coeff_sequence(G, dps)
+    pf, pg = seq_f.parity, seq_g.parity
     if pf is not None and pg is not None and pf != pg:
         diag = Diagnostics(message="left and right parities are opposite")
         return EProductResult(ZERO_BY_PARITY, mpc(0), 0, diag, cfg)
-    return classify_series(_generic_source(F, G, dps), cfg, dps)
+    stride, offset = (2, pf) if pf is not None and pf == pg else (1, 0)
+    support = min((s.support for s in (seq_f, seq_g) if s.support is not None), default=None)
+    abel_eval = None
+    if support is None and seq_f.branches is not None and seq_g.branches is not None:
+        abel_eval = kernel_eval(seq_f.branches, seq_g.branches, dps)
+
+    def fetch(j: int):
+        n = offset + stride * j
+        with working(dps):
+            return mp.conj(seq_f(n)) * seq_g(n)
+
+    source = TermSource(
+        fetch,
+        stride=stride,
+        offset=offset,
+        support=support,
+        abel_eval=abel_eval,
+        low_confidence=seq_f.low_confidence or seq_g.low_confidence,
+    )
+    return classify_series(source, cfg, dps)
 
 
 def partial_sums(F: Distribution, G: Distribution, k_max: int, dps: int = DEFAULT_DPS):

@@ -26,16 +26,9 @@ from typing import Callable, Optional
 
 from mpmath import mp, mpc, mpf
 
+from .branches import kernel_eval, word_branches
 from .distributions import Distribution, coeff_sequence
-from .eproduct import (
-    EProductResult,
-    SummationConfig,
-    TermSource,
-    _kernel_eval,
-    _point_branches,
-    _word_branches,
-    classify_series,
-)
+from .eproduct import EProductResult, SummationConfig, TermSource, classify_series
 from .precision import DEFAULT_DPS, working
 
 __all__ = [
@@ -277,11 +270,10 @@ def adjoint_check(
     right_seq = apply_operator(expr, g, dps)
 
     left_eval = right_eval = None
-    bf = _point_branches(big, dps)
-    bg = _point_branches(small, dps)
+    bf, bg = f.branches, g.branches
     if bf is not None and bg is not None:
-        left_eval = _kernel_eval(_word_branches(expr.ddagger().terms, bf, dps), bg, dps)
-        right_eval = _kernel_eval(bf, _word_branches(expr.terms, bg, dps), dps)
+        left_eval = kernel_eval(word_branches(expr.ddagger().terms, bf, dps), bg, dps)
+        right_eval = kernel_eval(bf, word_branches(expr.terms, bg, dps), dps)
 
     def left_fetch(n: int):
         with working(dps):

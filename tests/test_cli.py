@@ -295,7 +295,7 @@ def run_fault(capsys, argv):
 def test_cross_check_fault_exits_four(capsys, monkeypatch):
     # a closed form that disagrees with the terms it stands for
     monkeypatch.setattr(
-        eproduct, "_kernel_pair_eval", lambda F, G, dps: lambda r: mpc(999)
+        eproduct, "kernel_eval", lambda bf, bg, dps: lambda r: mpc(999)
     )
     payload = run_fault(capsys, ["compute", "exp(1)", "delta"])
     assert payload["fault"] == "RuntimeError"
@@ -370,6 +370,18 @@ def test_closed_pipe_leaves_nothing_for_the_exit_flush():
         os.close(write_end)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
     assert proc.stderr == b""
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eprod", "compute", "exp(1)", "delta"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert b"AbelSummable" in proc.stdout
 
 
 # -- configuration file ------------------------------------------------------------

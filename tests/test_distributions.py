@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from eprod import distributions
 from eprod.distributions import (
     CosWave,
     DeltaDeriv,
@@ -29,7 +30,6 @@ from eprod.distributions import (
     is_zero_distribution,
     multiply_by_x,
     parity,
-    support_bound,
     zero_distribution,
 )
 from eprod.exact import ComplexRational
@@ -102,6 +102,42 @@ def test_coeff_exact_matches_numeric_route():
                 assert ex is not None
                 got = coeff(dist, n, 45)
                 assert abs(ex.to_mpf(45) - got) <= mpf("1e-40") * max(1, abs(got))
+    # deep in the recurrence, at indices of the distribution's own parity
+    with mp.workdps(60):
+        for dist in (DeltaDeriv(0), DeltaDeriv(3), Monomial(2), Monomial(5),
+                     NormalizedDeltaDeriv(2), NormalizedMonomial(4)):
+            for n in (1001, 2001, 3999):
+                n -= (n - parity(dist)) % 2
+                want = coeff_exact(dist, n).to_mpf(60)
+                got = coeff(dist, n, 60)
+                assert abs(want - got) <= mpf("1e-65") * abs(want)
+
+
+def _wave_oracle(kind, w, n, dps):
+    """F[e_n] from mp.hermite: sqrt(2 pi) i**n e_n(-i w) for exp(w x), and
+    sqrt(2 pi) cos(n pi/2) e_n(w), sqrt(2 pi) sin(n pi/2) e_n(w) for the waves."""
+    with mp.workdps(dps + 40):
+        w = mpf(w.numerator) / w.denominator
+        norm = mp.sqrt(mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))
+        root = mp.sqrt(2 * mp.pi)
+        if kind == "exp":
+            h = mp.re(mpc(0, 1) ** n * mp.hermite(n, mpc(0, -w)))
+            return root * h * mp.exp(w * w / 2) / norm
+        phase = mp.cospi(mpf(n) / 2) if kind == "cos" else mp.sinpi(mpf(n) / 2)
+        return root * phase * mp.hermite(n, w) * mp.exp(-w * w / 2) / norm
+
+
+@pytest.mark.parametrize("kind, dist, w, ns", [
+    ("exp", ExpReal(Fraction(1, 2)), Fraction(1, 2), (1001, 2001, 3999)),
+    ("cos", CosWave(Fraction(2, 3)), Fraction(2, 3), (1000, 2000, 3998)),
+    ("sin", SinWave(Fraction(1, 3)), Fraction(1, 3), (1001, 2001, 3999)),
+])
+def test_wave_coefficients_deep_in_the_recurrence(kind, dist, w, ns):
+    with mp.workdps(60):
+        for n in ns:
+            want = _wave_oracle(kind, w, n, 60)
+            got = coeff(dist, n, 60)
+            assert abs(got - want) <= mpf("1e-65") * abs(want)
 
 
 def test_coeff_exact_none_for_transcendental_sources():
@@ -134,12 +170,16 @@ def test_parity_table():
 
 
 def test_support_bound():
-    assert support_bound(L2Sample(coeffs=(0, 0, 1, 0))) == 3
-    assert support_bound(L2Sample(coeffs=(0,))) == 0
-    assert support_bound(DeltaDeriv(2)) is None
+    def support(d):
+        return coeff_sequence(d, 30).support
+
+    assert support(L2Sample(coeffs=(0, 0, 1, 0))) == 3
+    assert support(L2Sample(coeffs=(0,))) == 0
+    assert support(DeltaDeriv(2)) is None
+    # a combination's support is the largest of its parts', None if any is unbounded
     combo = LinearCombo(((1, L2Sample(coeffs=(1,))), (2, L2Sample(coeffs=(0, 0, 5)))))
-    assert support_bound(combo) == 3
-    assert support_bound(LinearCombo(((1, L2Sample(coeffs=(1,))), (1, ExpReal(1))))) is None
+    assert support(combo) == 3
+    assert support(LinearCombo(((1, L2Sample(coeffs=(1,))), (1, ExpReal(1))))) is None
 
 
 def test_l2_sample_validation():
@@ -178,6 +218,20 @@ def test_linear_combo_coefficients_are_linear():
 def test_combo_rejects_non_distribution():
     with pytest.raises(TypeError):
         LinearCombo(((1, "delta"),))
+
+
+def test_sequence_cache_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(distributions, "_sequence_cache", {})
+    size = distributions.SEQUENCE_CACHE_SIZE
+    dists = [L2Sample(coeffs=(k,)) for k in range(size + 1)]
+    first = [coeff_sequence(d, 30) for d in dists[:size]]
+    assert coeff_sequence(dists[0], 30) is first[0]  # now the most recent
+    coeff_sequence(dists[size], 30)
+    cache = distributions._sequence_cache
+    assert len(cache) == size
+    assert (dists[1], 30) not in cache
+    assert coeff_sequence(dists[0], 30) is first[0]
+    assert all(coeff_sequence(d, 30) is seq for d, seq in zip(dists[2:size], first[2:]))
 
 
 def test_coeff_sequence_memoizes():

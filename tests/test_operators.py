@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from eprod.branches import word_branches
 from eprod.distributions import (
     CosWave,
     DeltaDeriv,
     ExpReal,
     L2Sample,
     coeff_sequence,
+    point_branches,
 )
-from eprod.eproduct import SummationConfig, _point_branches, _word_branches
+from eprod.eproduct import SummationConfig
 from eprod.exact import ComplexRational
 from eprod.operators import (
     LETTERS,
@@ -247,8 +249,8 @@ def test_apply_operator_reads_at_most_length_plus_one_entries(length):
 
 
 def test_word_branches_of_a_long_word_stay_few():
-    delta = _point_branches(DeltaDeriv(0), 60)
-    assert len(_word_branches(_power(X, 8).terms, delta, 60)) <= 9
+    delta = point_branches(DeltaDeriv(0), 60)
+    assert len(word_branches(_power(X, 8).terms, delta, 60)) <= 9
 
 
 # -- the adjoint identity ------------------------------------------------------
