@@ -21,6 +21,7 @@ from .precision import to_mpc, working
 __all__ = [
     "I_POWERS",
     "branch_stream",
+    "sqrt_table",
     "merge",
     "ladder_branches",
     "word_branches",
@@ -31,22 +32,35 @@ I_POWERS = (mpc(1), mpc(0, 1), mpc(-1), mpc(0, -1))
 
 # -- coefficient streams ---------------------------------------------------------
 
-# binary precision -> (a, b), a[n] = sqrt(2/(n+1)), b[n] = sqrt(n/(n+1)), for
-# the 8 most recently used precisions (least recently used first)
-_ladder_tables: dict[int, tuple[list, list]] = {}
+# binary precision -> (a, b, roots), a[n] = sqrt(2/(n+1)), b[n] = sqrt(n/(n+1)),
+# roots[m] = sqrt(m), for the 8 most recently used precisions (least recently
+# used first)
+_ladder_tables: dict[int, tuple[list, list, list]] = {}
+
+
+def _tables_at_working_precision() -> tuple[list, list, list]:
+    tables = _ladder_tables.pop(mp.prec, None) or ([], [], [])
+    while len(_ladder_tables) >= 8:
+        del _ladder_tables[next(iter(_ladder_tables))]
+    _ladder_tables[mp.prec] = tables
+    return tables
 
 
 def _ladder_table(n_max: int) -> tuple[list, list]:
     """The recurrence factors through n_max at the working precision."""
-    table = _ladder_tables.pop(mp.prec, None) or ([], [])
-    while len(_ladder_tables) >= 8:
-        del _ladder_tables[next(iter(_ladder_tables))]
-    _ladder_tables[mp.prec] = table
-    a, b = table
+    a, b, _ = _tables_at_working_precision()
     for n in range(len(a), n_max + 1):
         a.append(mp.sqrt(mpf(2) / (n + 1)))
         b.append(mp.sqrt(mpf(n) / (n + 1)))
-    return table
+    return a, b
+
+
+def sqrt_table(m_max: int) -> list:
+    """sqrt(0), ..., sqrt(m_max) (at least) at the working precision."""
+    roots = _tables_at_working_precision()[2]
+    for m in range(len(roots), m_max + 1):
+        roots.append(mp.sqrt(m))
+    return roots
 
 
 def branch_stream(branches, dps: int):

@@ -335,14 +335,20 @@ def _cross_check_level(source: TermSource, r, closed_value):
     step = r**source.stride
     total = 0
     peak = mpf(1)
-    below = 0
+    run = mpf(0)  # sum of |weighted term| so far
+    mass = [run]  # mass[m] = that sum over the first 8 m terms
     term = source.term
     settled = False
     # the direct sum cannot beat peak * 10**-(working digits): cancellation
     # through the term hump already cost that much.  The gate is the larger
-    # of that floor and a modest relative error; the tail past the hump
-    # decays with ratio close to step, so stopping once a term is below
-    # (1 - step) * gate keeps the dropped remainder inside the gate.
+    # of that floor and a modest relative error.  The dropped tail is bounded
+    # from the last two blocks of about a third of the terms each (whole
+    # steps of 8 terms, where the running mass is kept): past a hump the
+    # block masses of a point pairing shrink at least geometrically, by no
+    # less than their last ratio and than step**len (the weights alone),
+    # so the tail after the last block is at most last * q / (1 - q).  Blocks
+    # that long span the beats of oscillating coefficients, and a ratio taken
+    # over them keeps the exp(g sqrt(2n)) growth of exponential ones.
     floor = mpf(10) ** (-(mp.dps - 12))
     rel = mpf("1e-10") * max(mpf(1), abs(closed_value))
     for j in range(_CROSS_CHECK_TERMS):
@@ -351,13 +357,19 @@ def _cross_check_level(source: TermSource, r, closed_value):
         a = abs(v)
         if a > peak:
             peak = a
-        if a <= (1 - step) * max(rel, floor * peak):
-            below += 1
-            if below >= 8 and j >= 32:
-                settled = True
-                break
-        else:
-            below = 0
+        run += a
+        if j % 8 == 7:  # the bound costs more than a term
+            mass.append(run)
+            m = len(mass) - 1
+            if m >= 5:
+                width = m // 3  # in steps of 8 terms
+                last = run - mass[m - width]
+                before = mass[m - width] - mass[m - 2 * width]
+                if last <= before:
+                    q = max(last / before if before else 0, step ** (8 * width))
+                    if last * q / (1 - q) <= max(rel, floor * peak) / 4:
+                        settled = True
+                        break
         p *= step
     if not settled:
         return

@@ -26,8 +26,8 @@ from typing import Callable, Optional
 
 from mpmath import mp, mpc, mpf
 
-from .branches import kernel_eval, word_branches
-from .distributions import Distribution, coeff_sequence
+from .branches import branch_stream, kernel_eval, sqrt_table, word_branches
+from .distributions import CoeffSequence, Distribution, coeff_sequence
 from .eproduct import EProductResult, SummationConfig, TermSource, classify_series
 from .precision import DEFAULT_DPS, working
 
@@ -176,8 +176,8 @@ def apply_operator(
     O(L**2) integer products per index and reads ``seq`` at most L + 1
     times.  The integer weights of words with the same scalar and the same
     number h of x and d letters are summed exactly, before one
-    multiprecision product per offset.  sqrt(m) comes from a table filled
-    once per call.
+    multiprecision product per offset.  sqrt(m) comes from the table that
+    ``branches.sqrt_table`` shares per precision.
     """
     plan = []  # (word, group); group = (scalar, h)
     scales: dict = {}  # group -> scalar * 2**(-h/2)
@@ -187,15 +187,12 @@ def apply_operator(
             if group not in scales:
                 scales[group] = scalar * mpf(2) ** (-mpf(group[1]) / 2)
             plan.append((word, group))
-    roots: list = []  # roots[m] = sqrt(m)
+    reach = max((len(word) for word, _ in plan), default=0)  # largest |e|
+    roots: list = []  # roots[m] = sqrt(m), shared through sqrt_table
     memo: dict[int, object] = {}
 
-    def root(m: int):
-        while len(roots) <= m:
-            roots.append(mp.sqrt(len(roots)))
-        return roots[m]
-
     def out(n: int):
+        nonlocal roots
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
         if n not in memo:
@@ -208,6 +205,8 @@ def apply_operator(
                 for e, w in weights.items():
                     acc[e] = acc.get(e, 0) + w
             with working(dps):
+                if len(roots) <= n + reach:
+                    roots = sqrt_table(n + reach)
                 coeffs: dict = {}
                 for group, acc in sums.items():
                     scale = scales[group]
@@ -218,7 +217,7 @@ def apply_operator(
                 total = mpf(0)
                 for e, coeff in coeffs.items():
                     for k in range(min(n, n + e) + 1, max(n, n + e) + 1):
-                        coeff = coeff * root(k)  # sqrt(R(n, e))
+                        coeff = coeff * roots[k]  # sqrt(R(n, e))
                     total += coeff * seq(n + e)
                 memo[n] = total
         return memo[n]
@@ -240,6 +239,37 @@ class AdjointCheckReport:
     max_partial_dev: mpf
 
 
+def _word_stream(expr: OperatorExpr, seq: CoeffSequence, dps: int, probe: int):
+    """(X s as a sequence, the branch list of X s or None).
+
+    When every branch point of s is 0 (delta^(k), psi, x^p, phi and their
+    combinations) the stream comes from the word's branch list, which
+    computes only the entries that can be nonzero; it is checked against
+    ``apply_operator`` over the first ``probe`` indices, so the letters'
+    sequence-side definition still guards their argument-side transfer.
+    Any other s streams through ``apply_operator``.
+    """
+    if seq.branches is None:
+        return apply_operator(expr, seq, dps), None
+    branches = word_branches(expr.terms, seq.branches, dps)
+    if any(x0 != 0 for _, _, x0, _ in seq.branches):
+        return apply_operator(expr, seq, dps), branches
+    stream = CoeffSequence(*branch_stream(branches, dps), None, dps, branches=branches)
+    direct = apply_operator(expr, seq, dps)
+    with working(dps):
+        # the scale of the entries and of the operand they are read from
+        # (a word can cancel to 0, where apply_operator leaves rounding)
+        pairs = [(stream(n), direct(n)) for n in range(probe)]
+        scale = max([abs(b) for _, b in pairs] + [abs(seq(n)) for n in range(probe)], default=0)
+        for n, (a, b) in enumerate(pairs):
+            if abs(a - b) > mpf(10) ** (10 - dps) * scale:
+                raise RuntimeError(
+                    "word branch stream disagrees with apply_operator "
+                    f"at n = {n}: {a} vs {b}"
+                )
+    return stream, branches
+
+
 def adjoint_check(
     expr: OperatorExpr,
     big: Distribution,
@@ -250,38 +280,47 @@ def adjoint_check(
 ) -> AdjointCheckReport:
     """Compare <X‡ F, G> against <F, X G> through the full pipeline.
 
-    Each side is its own term stream (operator applied on the coefficient
-    sequence of one slot, normal-ordered at each index by
-    ``apply_operator``).  When both distributions admit point branches the
-    Abel levels also get a closed form: the ladder letters transfer to the
-    argument side of the eigenfunctions, so operator-applied pairs keep the
-    kernel route (and its direct-summation cross-check).  Like branches are
-    merged after every letter, so both sides cost polynomial time in the
-    word length.
+    Each side is its own term stream, conj((X‡ f)_n) g_n and
+    conj(f_n) (X g)_n, and the word's stream is read only where the other
+    slot's coefficient is nonzero.  A slot whose branch points all sit at 0
+    streams its word from the word's branch list, checked against
+    ``apply_operator`` over the first ``probe`` indices (a mismatch raises
+    RuntimeError); any other slot runs ``apply_operator``, normal-ordered at
+    each index, over its coefficient sequence.  When both distributions
+    admit point branches the Abel levels also get a closed form: the ladder
+    letters transfer to the argument side of the eigenfunctions, so
+    operator-applied pairs keep the kernel route (and its direct-summation
+    cross-check).  Like branches are merged after every letter, so both
+    sides cost polynomial time in the word length.
 
-    ``probe`` bounds the partial-sum deviation scan reported alongside the
-    two classified values; the deviation need not vanish (truncation leaves
-    ladder boundary terms), it is context for the value comparison.
+    ``probe`` also bounds the partial-sum deviation scan reported alongside
+    the two classified values; the deviation need not vanish (truncation
+    leaves ladder boundary terms), it is context for the value comparison.
     """
     cfg = cfg or SummationConfig()
     f = coeff_sequence(big, dps)
     g = coeff_sequence(small, dps)
-    left_seq = apply_operator(expr.ddagger(), f, dps)
-    right_seq = apply_operator(expr, g, dps)
+    left_seq, left_branches = _word_stream(expr.ddagger(), f, dps, probe)
+    right_seq, right_branches = _word_stream(expr, g, dps, probe)
 
     left_eval = right_eval = None
-    bf, bg = f.branches, g.branches
-    if bf is not None and bg is not None:
-        left_eval = kernel_eval(word_branches(expr.ddagger().terms, bf, dps), bg, dps)
-        right_eval = kernel_eval(bf, word_branches(expr.terms, bg, dps), dps)
+    if left_branches is not None and right_branches is not None:
+        left_eval = kernel_eval(left_branches, g.branches, dps)
+        right_eval = kernel_eval(f.branches, right_branches, dps)
 
     def left_fetch(n: int):
+        gn = g(n)
+        if gn == 0:
+            return mpc(0)
         with working(dps):
-            return mp.conj(left_seq(n)) * g(n)
+            return mp.conj(left_seq(n)) * gn
 
     def right_fetch(n: int):
+        fn = f(n)
+        if fn == 0:
+            return mpc(0)
         with working(dps):
-            return mp.conj(f(n)) * right_seq(n)
+            return mp.conj(fn) * right_seq(n)
 
     unsettled = f.low_confidence or g.low_confidence
     lsrc = TermSource(left_fetch, abel_eval=left_eval, low_confidence=unsettled)

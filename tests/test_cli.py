@@ -8,9 +8,9 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpc
+from mpmath import mpc, mpf
 
-from eprod import cli, eproduct, hermite, quadrature, special
+from eprod import cli, eproduct, hermite, operators, quadrature, special
 from eprod.cli import (
     CONFIG_ENV,
     ExprError,
@@ -21,6 +21,7 @@ from eprod.cli import (
     parse_operator,
 )
 from eprod.exact import ExactTerm
+from eprod.precision import working
 
 # -- grammar ------------------------------------------------------------------
 
@@ -300,6 +301,23 @@ def test_cross_check_fault_exits_four(capsys, monkeypatch):
     payload = run_fault(capsys, ["compute", "exp(1)", "delta"])
     assert payload["fault"] == "RuntimeError"
     assert "disagrees with direct summation" in payload["error"]
+
+
+def test_probe_guard_fault_exits_four(capsys, monkeypatch):
+    # a word branch list that no longer matches the letters' definition
+    real = operators.word_branches
+
+    def skewed(terms, branches, dps):
+        (coeff, s, x0, j), *rest = real(terms, branches, dps)
+        with working(dps):
+            return [(coeff * (1 + mpf("1e-20")), s, x0, j), *rest]
+
+    monkeypatch.setattr(operators, "word_branches", skewed)
+    payload = run_fault(
+        capsys, ["adjoint", "c x", "delta^(1)", "exp(1/2)", "--digits", "60"]
+    )
+    assert payload["fault"] == "RuntimeError"
+    assert "disagrees with apply_operator" in payload["error"]
 
 
 def test_moment_route_mismatch_exits_four(capsys, monkeypatch):

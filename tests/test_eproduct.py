@@ -16,6 +16,7 @@ from eprod.distributions import (
     NormalizedDeltaDeriv,
     NormalizedMonomial,
     SinWave,
+    coeff_sequence,
 )
 from eprod.eproduct import (
     ABEL_SUMMABLE,
@@ -182,6 +183,30 @@ def test_cross_check_accepts_slowly_decaying_honest_closed_form(dps):
     assert res.status == ABEL_SUMMABLE
     with mp.workdps(dps):
         assert abs(res.value - 8) < mpf("1e-12")
+
+
+@pytest.mark.parametrize(
+    "F,status",
+    [
+        (ExpReal(Fraction(1, 2)), ABEL_SUMMABLE),
+        (ExpReal(Fraction(-1, 2)), ABEL_SUMMABLE),
+        (ExpReal(2), DIVERGENT),
+        (SinWave(Fraction(1, 2)), ABEL_SUMMABLE),
+    ],
+)
+def test_cross_check_reaches_past_beating_and_growing_terms(F, status):
+    # against sin(1) the weighted terms beat (a trough at n = 241, a crest
+    # at 271) and exp coefficients grow like exp(g sqrt(2n)): the direct sum
+    # must not stop in a trough while later crests still exceed the gate
+    res = classify_and_sum(F, SinWave(1), dps=30)
+    assert res.status == status
+    first = res.diagnostics.abel_trace[0]  # the cross-checked level
+    assert first.k == 4
+    f, g = coeff_sequence(F, 80), coeff_sequence(SinWave(1), 80)
+    with mp.workdps(80):
+        r = 1 - mpf(2) ** -4
+        direct = sum(mp.conj(f(n)) * g(n) * r**n for n in range(3000))
+        assert abs(first.value - direct) <= mpf("1e-25") * max(1, abs(direct))
 
 
 # -- classification stages -------------------------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from eprod.cli import parse_operator
 from eprod.distributions import (
     CosWave,
     DeltaDeriv,
@@ -119,6 +120,16 @@ def _rows():
     return cells
 
 
+# the adjoint_words benchmark words, with their delta order k and rate g
+_BENCH_WORDS = (
+    ("c", 0, Fraction(1, 2)),
+    ("D c", 1, Fraction(2, 3)),
+    ("c x cdag", 0, Fraction(3, 4)),
+    ("cdag c x c", 1, Fraction(1, 2)),
+    ("x c cdag c cdag", 0, Fraction(2, 3)),
+)
+
+
 def _adjoint():
     c = OperatorExpr.letter("c")
     cdag = OperatorExpr.letter("cdag")
@@ -144,6 +155,17 @@ def _adjoint():
         rep = adjoint_check(op, big, small, cfg, 60)
         cells[f"{label} left"] = _result_cell(rep.left)
         cells[f"{label} right"] = _result_cell(rep.right)
+    # the benchmark's words of length 1..5, delta^(k) against exp(g x) and
+    # exp(-g x) against delta^(k), so each route serves either slot
+    for text, k, g in _BENCH_WORDS:
+        op = parse_operator(text)
+        for big, small, pair in (
+            (DeltaDeriv(k), ExpReal(g), f"delta^({k}), exp({g})"),
+            (ExpReal(-g), DeltaDeriv(k), f"exp({-g}), delta^({k})"),
+        ):
+            rep = adjoint_check(op, big, small, SummationConfig(), 60)
+            cells[f"{text}; {pair} left"] = _result_cell(rep.left)
+            cells[f"{text}; {pair} right"] = _result_cell(rep.right)
     return cells
 
 

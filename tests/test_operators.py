@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from eprod import operators
 from eprod.branches import word_branches
 from eprod.distributions import (
     CosWave,
@@ -309,6 +310,46 @@ def test_adjoint_check_identity_is_bit_for_bit():
     rep = adjoint_check(ID, CosWave(1), DeltaDeriv(0), _CFG, 40)
     assert rep.difference == 0
     assert rep.max_partial_dev == 0
+
+
+def test_adjoint_check_probe_guards_the_branch_stream(monkeypatch):
+    # one word branch coefficient off by 1e-20 relative
+    real = operators.word_branches
+
+    def skewed(terms, branches, dps):
+        (coeff, s, x0, j), *rest = real(terms, branches, dps)
+        with working(dps):
+            return [(coeff * (1 + mpf("1e-20")), s, x0, j), *rest]
+
+    monkeypatch.setattr(operators, "word_branches", skewed)
+    with pytest.raises(RuntimeError, match="disagrees with apply_operator"):
+        adjoint_check(C @ X, DeltaDeriv(1), ExpReal(Fraction(1, 2)), dps=60)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_adjoint_check_reads_words_only_where_the_other_slot_is_nonzero(
+    monkeypatch, swap
+):
+    # delta vanishes at odd indices; its own side streams from the branch
+    # list, and only the probe guard evaluates apply_operator there
+    calls = []
+    real = operators.apply_operator
+
+    def counted(expr, seq, dps):
+        out = real(expr, seq, dps)
+
+        def evaluate(n):
+            calls.append(n)
+            return out(n)
+
+        return evaluate
+
+    monkeypatch.setattr(operators, "apply_operator", counted)
+    cfg = SummationConfig()
+    probe = 64
+    slots = (DeltaDeriv(0), ExpReal(Fraction(1, 2)))
+    adjoint_check(C, *(slots[::-1] if swap else slots), cfg, 60, probe)
+    assert len(calls) <= cfg.max_terms // 2 + probe + 1 + 1  # L = 1
 
 
 def test_adjoint_check_refuses_divergent_sides():
