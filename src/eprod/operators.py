@@ -167,10 +167,10 @@ def _peel(weights: dict, letter: str, n: int) -> dict:
     return nxt
 
 
-def apply_operator(
-    expr: OperatorExpr, seq: Callable[[int], object], dps: int = DEFAULT_DPS
-) -> Callable[[int], object]:
-    """The sequence n -> (X s)_n, memoized; ``seq`` maps index to coefficient.
+def _word_terms(
+    expr: OperatorExpr, seq: Callable[[int], object], dps: int
+) -> Callable[[int], list]:
+    """n -> the terms coeff_e * s_{n+e} that (X s)_n sums, in summation order.
 
     Each index is normal-ordered (``_peel``), so a word of L letters costs
     O(L**2) integer products per index and reads ``seq`` at most L + 1
@@ -189,37 +189,59 @@ def apply_operator(
             plan.append((word, group))
     reach = max((len(word) for word, _ in plan), default=0)  # largest |e|
     roots: list = []  # roots[m] = sqrt(m), shared through sqrt_table
-    memo: dict[int, object] = {}
 
-    def out(n: int):
+    def terms(n: int) -> list:
         nonlocal roots
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
+        sums: dict = {}  # group -> {e: summed I_e}
+        for word, group in plan:
+            weights = {0: 1}
+            for letter in word:
+                weights = _peel(weights, letter, n)
+            acc = sums.setdefault(group, {})
+            for e, w in weights.items():
+                acc[e] = acc.get(e, 0) + w
+        with working(dps):
+            if len(roots) <= n + reach:
+                roots = sqrt_table(n + reach)
+            coeffs: dict = {}
+            for group, acc in sums.items():
+                scale = scales[group]
+                for e, w in acc.items():
+                    if w:
+                        term = scale if w == 1 else scale * w
+                        coeffs[e] = coeffs.get(e, 0) + term
+            out = []
+            for e, coeff in coeffs.items():
+                for k in range(min(n, n + e) + 1, max(n, n + e) + 1):
+                    coeff = coeff * roots[k]  # sqrt(R(n, e))
+                out.append(coeff * seq(n + e))
+            return out
+
+    return terms
+
+
+def apply_operator(
+    expr: OperatorExpr, seq: Callable[[int], object], dps: int = DEFAULT_DPS
+) -> Callable[[int], object]:
+    """The sequence n -> (X s)_n, memoized; ``seq`` maps index to coefficient.
+
+    Each entry sums the normal-ordered terms of ``_word_terms``: a word of L
+    letters costs O(L**2) integer products per index and reads ``seq`` at
+    most L + 1 times.
+    """
+    terms = _word_terms(expr, seq, dps)
+    memo: dict[int, object] = {}
+
+    def out(n: int):
         if n not in memo:
-            sums: dict = {}  # group -> {e: summed I_e}
-            for word, group in plan:
-                weights = {0: 1}
-                for letter in word:
-                    weights = _peel(weights, letter, n)
-                acc = sums.setdefault(group, {})
-                for e, w in weights.items():
-                    acc[e] = acc.get(e, 0) + w
+            parts = terms(n)
             with working(dps):
-                if len(roots) <= n + reach:
-                    roots = sqrt_table(n + reach)
-                coeffs: dict = {}
-                for group, acc in sums.items():
-                    scale = scales[group]
-                    for e, w in acc.items():
-                        if w:
-                            term = scale if w == 1 else scale * w
-                            coeffs[e] = coeffs.get(e, 0) + term
                 total = mpf(0)
-                for e, coeff in coeffs.items():
-                    for k in range(min(n, n + e) + 1, max(n, n + e) + 1):
-                        coeff = coeff * roots[k]  # sqrt(R(n, e))
-                    total += coeff * seq(n + e)
-                memo[n] = total
+                for part in parts:
+                    total += part
+            memo[n] = total
         return memo[n]
 
     return out
@@ -244,10 +266,12 @@ def _word_stream(expr: OperatorExpr, seq: CoeffSequence, dps: int, probe: int):
 
     When every branch point of s is 0 (delta^(k), psi, x^p, phi and their
     combinations) the stream comes from the word's branch list, which
-    computes only the entries that can be nonzero; it is checked against
-    ``apply_operator`` over the first ``probe`` indices, so the letters'
-    sequence-side definition still guards their argument-side transfer.
-    Any other s streams through ``apply_operator``.
+    computes only the entries that can be nonzero.  It is checked against
+    ``apply_operator``'s terms over the first ``probe`` indices, so the
+    letters' sequence-side definition still guards their argument-side
+    transfer; the two may differ by 10**(10 - dps) of the larger of the
+    terms' absolute sum at that index and the window's largest entry.  Any
+    other s streams through ``apply_operator``.
     """
     if seq.branches is None:
         return apply_operator(expr, seq, dps), None
@@ -255,17 +279,25 @@ def _word_stream(expr: OperatorExpr, seq: CoeffSequence, dps: int, probe: int):
     if any(x0 != 0 for _, _, x0, _ in seq.branches):
         return apply_operator(expr, seq, dps), branches
     stream = CoeffSequence(*branch_stream(branches, dps), None, dps, branches=branches)
-    direct = apply_operator(expr, seq, dps)
+    terms = _word_terms(expr, seq, dps)
     with working(dps):
-        # the scale of the entries and of the operand they are read from
-        # (a word can cancel to 0, where apply_operator leaves rounding)
-        pairs = [(stream(n), direct(n)) for n in range(probe)]
-        scale = max([abs(b) for _, b in pairs] + [abs(seq(n)) for n in range(probe)], default=0)
-        for n, (a, b) in enumerate(pairs):
-            if abs(a - b) > mpf(10) ** (10 - dps) * scale:
+        # apply_operator's rounding grows with the mass of the terms it sums
+        # (x^32 on delta cancels to exactly 0 from terms near 1e31); the
+        # branch stream's with the entries its recurrences carry, bounded by
+        # the largest entry of the window
+        rows = []  # (n, entry, direct, mass)
+        for n in range(probe):
+            direct = mass = mpf(0)
+            for part in terms(n):
+                direct += part
+                mass += abs(part)
+            rows.append((n, stream(n), direct, mass))
+        scale = max((abs(direct) for _, _, direct, _ in rows), default=0)
+        for n, entry, direct, mass in rows:
+            if abs(entry - direct) > mpf(10) ** (10 - dps) * max(mass, scale):
                 raise RuntimeError(
                     "word branch stream disagrees with apply_operator "
-                    f"at n = {n}: {a} vs {b}"
+                    f"at n = {n}: {entry} vs {direct}"
                 )
     return stream, branches
 
@@ -284,8 +316,8 @@ def adjoint_check(
     conj(f_n) (X g)_n, and the word's stream is read only where the other
     slot's coefficient is nonzero.  A slot whose branch points all sit at 0
     streams its word from the word's branch list, checked against
-    ``apply_operator`` over the first ``probe`` indices (a mismatch raises
-    RuntimeError); any other slot runs ``apply_operator``, normal-ordered at
+    ``apply_operator``'s terms over the first ``probe`` indices (a mismatch
+    raises RuntimeError); any other slot runs ``apply_operator``, normal-ordered at
     each index, over its coefficient sequence.  When both distributions
     admit point branches the Abel levels also get a closed form: the ladder
     letters transfer to the argument side of the eigenfunctions, so

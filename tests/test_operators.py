@@ -326,6 +326,16 @@ def test_adjoint_check_probe_guards_the_branch_stream(monkeypatch):
         adjoint_check(C @ X, DeltaDeriv(1), ExpReal(Fraction(1, 2)), dps=60)
 
 
+@pytest.mark.parametrize("dps", [30, 60])
+def test_adjoint_check_probe_passes_a_word_that_cancels_to_zero(dps):
+    # x^32 delta = 0: the branch stream reads exact zeros, while
+    # apply_operator sums terms near 1e31 that cancel down to its rounding
+    cfg = SummationConfig()
+    rep = adjoint_check(_power(X, 32), DeltaDeriv(0), ExpReal(Fraction(1, 2)), cfg, dps)
+    assert rep.left.value == 0
+    assert abs(rep.right.value) <= cfg.tolerance
+
+
 @pytest.mark.parametrize("swap", [False, True])
 def test_adjoint_check_reads_words_only_where_the_other_slot_is_nonzero(
     monkeypatch, swap
