@@ -7,12 +7,14 @@ Distribution expressions come in a small mini-language:
 combined with + and -, and scaled by exact scalars: ``2.5*``, ``1/2*``,
 ``i*``, ``2i*``, or a parenthesized complex one like ``(2+3i)*``.  Operator
 expressions use the letters c, cdag, x, D with whitespace juxtaposition for
-composition and the same scalar syntax.
+composition and the same scalar syntax.  ``_ATOMS`` is the one table of atoms.
 
 Every subcommand emits a report as text, CSV, or schema-versioned JSON with
-all numbers as decimal strings at the configured precision.  Defaults can be
-overridden by a flat JSON config file (the EPROD_CONFIG environment variable
-names one), and flags override the file.
+all numbers as decimal strings at the configured precision.  The config keys
+are digits, sweep_cap and the fields of ``SummationConfig``, with their
+defaults; a flat JSON config file (the EPROD_CONFIG environment variable
+names one) overrides them, and flags override the file.  ``reproduce``
+checks the rows of ``_TABLES``.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from mpmath import mp, mpf
 
@@ -35,6 +37,7 @@ from .distributions import (
     DeltaDeriv,
     Distribution,
     ExpReal,
+    L2Sample,
     LinearCombo,
     Monomial,
     NormalizedDeltaDeriv,
@@ -52,9 +55,6 @@ from .eproduct import (
     abel_sum,
     classify_and_sum,
     pair_partial_sums_exact,
-    phi_phi_product,
-    phi_psi_product,
-    psi_psi_product,
     series_row_source,
 )
 from .exact import ComplexRational, ExactTerm, SqrtTerm
@@ -74,12 +74,8 @@ __all__ = [
 CONFIG_ENV = "EPROD_CONFIG"
 SCHEMA_VERSION = 1
 
-_FAMILIES = {
-    "phi": NormalizedMonomial,
-    "psi": NormalizedDeltaDeriv,
-    "x": Monomial,
-    "delta": DeltaDeriv,
-}
+# largest --n-max, so that input bounds the rows coeffs computes and prints
+MAX_N_MAX = 10_000
 
 
 # -- expression mini-language --------------------------------------------------
@@ -98,28 +94,20 @@ def _tokenize(text: str):
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
+        j = i + 1
         if ch in "+-*/^()":
             tokens.append(("sym", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
+        elif ch.isdigit() or ch == ".":
             while j < len(text) and (text[j].isdigit() or text[j] == "."):
                 j += 1
             tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
+        elif not ch.isspace():
+            raise ExprError(f"unexpected character {ch!r}", i)
+        i = j
     return tokens
 
 
@@ -129,9 +117,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
 
-    def peek(self, ahead: int = 0):
-        idx = self.k + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def peek(self):
+        return self.tokens[self.k] if self.k < len(self.tokens) else None
 
     def advance(self):
         tok = self.peek()
@@ -143,6 +130,10 @@ class _Parser:
     def at_sym(self, ch: str) -> bool:
         tok = self.peek()
         return tok is not None and tok[0] == "sym" and tok[1] == ch
+
+    def at_i(self) -> bool:
+        tok = self.peek()
+        return tok is not None and tok[0] == "name" and tok[1] == "i"
 
     def expect_sym(self, ch: str):
         tok = self.peek()
@@ -180,12 +171,16 @@ class _Parser:
             value /= d
         return value
 
-    def signed_rational(self) -> Fraction:
+    def sign(self) -> int:
+        """A run of + and - signs, possibly empty, as +1 or -1."""
         sign = 1
         while self.at_sym("+") or self.at_sym("-"):
             if self.advance()[1] == "-":
                 sign = -sign
-        return sign * self.number()
+        return sign
+
+    def signed_rational(self) -> Fraction:
+        return self.sign() * self.number()
 
     def integer(self) -> int:
         tok = self.advance()
@@ -195,47 +190,63 @@ class _Parser:
 
     def _scalar_part(self) -> ComplexRational:
         """[sign] ( NUM [/NUM] [i] | i )"""
-        sign = 1
-        while self.at_sym("+") or self.at_sym("-"):
-            if self.advance()[1] == "-":
-                sign = -sign
-        tok = self.peek()
-        if tok is not None and tok[0] == "name" and tok[1] == "i":
+        sign = self.sign()
+        if self.at_i():
             self.k += 1
             return ComplexRational(Fraction(0), Fraction(sign))
-        value = self.number()
-        tok = self.peek()
-        if tok is not None and tok[0] == "name" and tok[1] == "i":
+        value = sign * self.number()
+        if self.at_i():
             self.k += 1
-            return ComplexRational(Fraction(0), sign * value)
-        return ComplexRational(sign * value)
+            return ComplexRational(Fraction(0), value)
+        return ComplexRational(value)
 
-    def complex_group(self) -> ComplexRational:
-        """( part { (+|-) part } )"""
-        self.expect_sym("(")
+    def scalar_lookahead(self) -> bool:
+        """Does a scalar factor start here?"""
+        tok = self.peek()
+        return tok is not None and (tok[0] == "num" or self.at_i() or self.at_sym("("))
+
+    def scalar_factor(self) -> ComplexRational:
+        """part, or ( part { (+|-) part } )"""
+        if not self.at_sym("("):
+            return self._scalar_part()
+        self.k += 1
         total = self._scalar_part()
         while self.at_sym("+") or self.at_sym("-"):
             total = total + self._scalar_part()
         self.expect_sym(")")
         return total
 
-    def scalar_lookahead(self) -> bool:
-        """Does a scalar factor start here?"""
-        tok = self.peek()
-        if tok is None:
-            return False
-        if tok[0] == "num":
-            return True
-        if tok[0] == "name" and tok[1] == "i":
-            return True
-        if tok[0] == "sym" and tok[1] == "(":
-            return True
-        return False
+    def terms(self, term) -> list:
+        """[sign] term {(+|-) term}, calling term(self, sign) for each term."""
+        sign = 1
+        if self.at_sym("+") or self.at_sym("-"):
+            sign = -1 if self.advance()[1] == "-" else 1
+        out = []
+        while True:
+            out.append(term(self, sign))
+            if self.done():
+                return out
+            tok = self.advance()
+            if tok[0] != "sym" or tok[1] not in "+-":
+                raise ExprError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
+            sign = 1 if tok[1] == "+" else -1
 
-    def scalar_factor(self) -> ComplexRational:
-        if self.at_sym("("):
-            return self.complex_group()
-        return self._scalar_part()
+
+# The grammar's atoms: name -> (class, printed form, argument reader, the
+# argument when the name stands alone).  An atom with a bare value takes its
+# argument after "^" (x's parentheses are optional); the others need "(arg)".
+_ATOMS = {
+    "delta": (DeltaDeriv, "delta^({})", _Parser.integer, 0),
+    "x": (Monomial, "x^{}", _Parser.integer, 1),
+    "phi": (NormalizedMonomial, "phi({})", _Parser.integer, None),
+    "psi": (NormalizedDeltaDeriv, "psi({})", _Parser.integer, None),
+    "exp": (ExpReal, "exp({})", _Parser.signed_rational, None),
+    "cos": (CosWave, "cos({})", _Parser.signed_rational, None),
+    "sin": (SinWave, "sin({})", _Parser.signed_rational, None),
+}
+_ATOM_NAMES = {row[0]: name for name, row in _ATOMS.items()}
+# sweep's families: the atoms with an integer index
+_FAMILIES = sorted(name for name, row in _ATOMS.items() if row[2] is _Parser.integer)
 
 
 def _simplify_scalar(s: ComplexRational):
@@ -253,62 +264,40 @@ def _parse_dist_atom(p: _Parser) -> Distribution:
         return LinearCombo(((value, Monomial(0)),))
     if tok[0] != "name":
         raise ExprError(f"expected a distribution, found {tok[1]!r}", tok[2])
-    name = tok[1]
-    if name == "delta":
-        if p.at_sym("^"):
-            p.k += 1
-            p.expect_sym("(")
-            order = p.integer()
-            p.expect_sym(")")
-            return DeltaDeriv(order)
-        return DeltaDeriv(0)
-    if name == "x":
-        if p.at_sym("^"):
-            p.k += 1
-            if p.at_sym("("):
-                p.k += 1
-                degree = p.integer()
-                p.expect_sym(")")
-            else:
-                degree = p.integer()
-            return Monomial(degree)
-        return Monomial(1)
-    if name == "phi" or name == "psi":
+    if tok[1] not in _ATOMS:
+        raise ExprError(f"unknown symbol {tok[1]!r}", tok[2])
+    cls, form, read, bare = _ATOMS[tok[1]]
+    opener = form[len(tok[1]) : form.index("{")]  # "^(", "^" or "("
+    if opener[0] == "^":
+        if not p.at_sym("^"):
+            return cls(bare)
+        p.k += 1
+    paren = opener[-1] == "(" or p.at_sym("(")
+    if paren:
         p.expect_sym("(")
-        index = p.integer()
+    arg = read(p)
+    if paren:
         p.expect_sym(")")
-        return NormalizedMonomial(index) if name == "phi" else NormalizedDeltaDeriv(index)
-    if name in ("exp", "cos", "sin"):
-        p.expect_sym("(")
-        arg = p.signed_rational()
-        p.expect_sym(")")
-        if name == "exp":
-            return ExpReal(arg)
-        return CosWave(arg) if name == "cos" else SinWave(arg)
-    raise ExprError(f"unknown symbol {name!r}", tok[2])
+    return cls(arg)
 
 
-def _parse_dist_term(p: _Parser):
+def _parse_dist_term(p: _Parser, sign: int):
     """-> (ComplexRational, Distribution)"""
     scalar = ComplexRational(Fraction(1))
-    saw_scalar = False
     while p.scalar_lookahead():
         mark = p.k
         factor = p.scalar_factor()
         if p.at_sym("*"):
             p.k += 1
             scalar = scalar * factor
-            saw_scalar = True
             continue
         if p.peek() is None or p.at_sym("+") or p.at_sym("-"):
             # trailing bare number: a constant term
-            return scalar * factor, Monomial(0)
+            return scalar * factor * sign, Monomial(0)
         # not a scalar after all (e.g. plain "1" would have returned above)
         p.k = mark
         break
-    atom = _parse_dist_atom(p)
-    del saw_scalar
-    return scalar, atom
+    return scalar * sign, _parse_dist_atom(p)
 
 
 def parse_distribution(text: str) -> Distribution:
@@ -316,30 +305,13 @@ def parse_distribution(text: str) -> Distribution:
     p = _Parser(text)
     if p.done():
         raise ExprError("empty expression", 0)
-    parts = []
-    sign = 1
-    if p.at_sym("+") or p.at_sym("-"):
-        if p.advance()[1] == "-":
-            sign = -1
-    while True:
-        scalar, atom = _parse_dist_term(p)
-        parts.append((scalar * sign, atom))
-        if p.done():
-            break
-        tok = p.advance()
-        if tok[0] != "sym" or tok[1] not in "+-":
-            raise ExprError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
-        sign = 1 if tok[1] == "+" else -1
+    parts = p.terms(_parse_dist_term)
     if len(parts) == 1 and parts[0][0] == 1:
         return parts[0][1]
     return LinearCombo(tuple((_simplify_scalar(s), d) for s, d in parts))
 
 
 # -- canonical printing --------------------------------------------------------
-
-
-def _rat_text(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 def _scalar_text(s) -> tuple[int, str]:
@@ -360,24 +332,16 @@ def _scalar_text(s) -> tuple[int, str]:
     raise ValueError(f"scalar {s!r} has no expression form")
 
 
+def _joined(pieces) -> str:
+    """'a + b - c' from (sign, text) pieces."""
+    out = ("-" if pieces[0][0] < 0 else "") + pieces[0][1]
+    for sign, text in pieces[1:]:
+        out += (" - " if sign < 0 else " + ") + text
+    return out
+
+
 def canonical_text(d: Distribution) -> str:
     """Expression text that parses back to d (grammar-expressible variants)."""
-    if isinstance(d, DeltaDeriv):
-        return "delta" if d.order == 0 else f"delta^({d.order})"
-    if isinstance(d, Monomial):
-        if d.degree == 1:
-            return "x"
-        return f"x^{d.degree}"
-    if isinstance(d, NormalizedMonomial):
-        return f"phi({d.index})"
-    if isinstance(d, NormalizedDeltaDeriv):
-        return f"psi({d.index})"
-    if isinstance(d, ExpReal):
-        return f"exp({_rat_text(d.rate)})"
-    if isinstance(d, CosWave):
-        return f"cos({_rat_text(d.freq)})"
-    if isinstance(d, SinWave):
-        return f"sin({_rat_text(d.freq)})"
     if isinstance(d, LinearCombo):
         if not d.parts:
             return "0*x^0"
@@ -388,17 +352,42 @@ def canonical_text(d: Distribution) -> str:
                 raise ValueError("nested combinations have no expression form")
             sign, prefix = _scalar_text(s)
             pieces.append((sign, prefix + inner))
-        out = ("-" if pieces[0][0] < 0 else "") + pieces[0][1]
-        for sign, text in pieces[1:]:
-            out += (" - " if sign < 0 else " + ") + text
-        return out
-    raise ValueError(f"{type(d).__name__} has no expression form")
+        return _joined(pieces)
+    name = _ATOM_NAMES.get(type(d))
+    if name is None:
+        raise ValueError(f"{type(d).__name__} has no expression form")
+    _, form, _, bare = _ATOMS[name]
+    arg = getattr(d, fields(d)[0].name)
+    return name if arg == bare else form.format(arg)
 
 
 # -- operator mini-language ------------------------------------------------------
 
 _OP_LETTERS = {"c": "c", "cdag": "cdag", "x": "x", "D": "d"}
-_OP_NAMES = {"c": "c", "cdag": "cdag", "x": "x", "d": "D"}
+_OP_NAMES = {letter: name for name, letter in _OP_LETTERS.items()}
+
+
+def _parse_op_term(p: _Parser, sign: int):
+    """-> (scalar, word)"""
+    scalar = ComplexRational(Fraction(sign))
+    while p.scalar_lookahead():
+        factor = p.scalar_factor()
+        if p.at_sym("*"):
+            p.k += 1
+        scalar = scalar * factor
+    word = []
+    while True:
+        tok = p.peek()
+        if tok is None or tok[0] != "name":
+            break
+        if tok[1] not in _OP_LETTERS:
+            raise ExprError(f"unknown operator letter {tok[1]!r}", tok[2])
+        word.append(_OP_LETTERS[tok[1]])
+        p.k += 1
+    if not word and scalar == sign and not p.done():
+        tok = p.peek()
+        raise ExprError(f"expected an operator letter, found {tok[1]!r}", tok[2])
+    return _simplify_scalar(scalar), tuple(word)
 
 
 def parse_operator(text: str) -> OperatorExpr:
@@ -406,38 +395,7 @@ def parse_operator(text: str) -> OperatorExpr:
     p = _Parser(text)
     if p.done():
         raise ExprError("empty operator expression", 0)
-    terms = []
-    sign = 1
-    if p.at_sym("+") or p.at_sym("-"):
-        if p.advance()[1] == "-":
-            sign = -1
-    while True:
-        scalar = ComplexRational(Fraction(sign))
-        while p.scalar_lookahead():
-            factor = p.scalar_factor()
-            if p.at_sym("*"):
-                p.k += 1
-            scalar = scalar * factor
-        word = []
-        while True:
-            tok = p.peek()
-            if tok is None or tok[0] != "name":
-                break
-            if tok[1] not in _OP_LETTERS:
-                raise ExprError(f"unknown operator letter {tok[1]!r}", tok[2])
-            word.append(_OP_LETTERS[tok[1]])
-            p.k += 1
-        if not word and scalar == sign and not p.done():
-            tok = p.peek()
-            raise ExprError(f"expected an operator letter, found {tok[1]!r}", tok[2])
-        terms.append((_simplify_scalar(scalar), tuple(word)))
-        if p.done():
-            break
-        tok = p.advance()
-        if tok[0] != "sym" or tok[1] not in "+-":
-            raise ExprError(f"expected '+' or '-', found {tok[1]!r}", tok[2])
-        sign = 1 if tok[1] == "+" else -1
-    return OperatorExpr(tuple(terms))
+    return OperatorExpr(tuple(p.terms(_parse_op_term)))
 
 
 def operator_text(expr: OperatorExpr) -> str:
@@ -445,27 +403,10 @@ def operator_text(expr: OperatorExpr) -> str:
         return "0*1"
     pieces = []
     for s, word in expr.terms:
+        sign, prefix = _scalar_text(s)
         body = " ".join(_OP_NAMES[letter] for letter in word) if word else "1"
-        if isinstance(s, ComplexRational) and s.is_real:
-            s = s.re
-        if isinstance(s, (int, Fraction)):
-            f = Fraction(s)
-            sign = -1 if f < 0 else 1
-            mag = abs(f)
-            text = body if mag == 1 else f"{mag}*{body}"
-        elif isinstance(s, ComplexRational) and s.re == 0:
-            sign = -1 if s.im < 0 else 1
-            im = abs(s.im)
-            text = f"i*{body}" if im == 1 else f"{im}i*{body}"
-        elif isinstance(s, ComplexRational):
-            sign, text = 1, f"({s})*{body}"
-        else:
-            raise ValueError(f"scalar {s!r} has no expression form")
-        pieces.append((sign, text))
-    out = ("-" if pieces[0][0] < 0 else "") + pieces[0][1]
-    for sign, text in pieces[1:]:
-        out += (" - " if sign < 0 else " + ") + text
-    return out
+        pieces.append((sign, prefix + body))
+    return _joined(pieces)
 
 
 # -- configuration ---------------------------------------------------------------
@@ -473,32 +414,21 @@ def operator_text(expr: OperatorExpr) -> str:
 
 @dataclass
 class RunSettings:
-    digits: int = DEFAULT_DPS
-    sweep_cap: int = 128
-    cfg: SummationConfig = SummationConfig()
+    digits: int
+    sweep_cap: int
+    cfg: SummationConfig
 
 
-_CFG_FIELDS = (
-    "max_terms",
-    "tolerance",
-    "abel_levels",
-    "extrapolation_depth",
-    "divergence_margin",
-    "partial_sum_cap",
-)
+# every config key with its default
+_DEFAULTS = {
+    "digits": DEFAULT_DPS,
+    "sweep_cap": 128,
+    **{f.name: f.default for f in fields(SummationConfig)},
+}
 
 
 def load_settings(args) -> RunSettings:
-    values = {
-        "digits": DEFAULT_DPS,
-        "sweep_cap": 128,
-        "max_terms": 4000,
-        "tolerance": "1e-16",
-        "abel_levels": 20,
-        "extrapolation_depth": 6,
-        "divergence_margin": 0.1,
-        "partial_sum_cap": 1e40,
-    }
+    values = dict(_DEFAULTS)
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
         try:
@@ -512,37 +442,24 @@ def load_settings(args) -> RunSettings:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    if getattr(args, "digits", None) is not None:
-        values["digits"] = args.digits
-    if getattr(args, "terms", None) is not None:
-        values["max_terms"] = args.terms
-    if getattr(args, "tol", None) is not None:
-        values["tolerance"] = args.tol
-    if getattr(args, "abel_levels", None) is not None:
-        values["abel_levels"] = args.abel_levels
+    for key in values:  # a flag's dest is the key it overrides
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     digits = check_dps(int(values["digits"]))
-    cfg = SummationConfig(
-        max_terms=int(values["max_terms"]),
-        tolerance=values["tolerance"],
-        abel_levels=int(values["abel_levels"]),
-        extrapolation_depth=int(values["extrapolation_depth"]),
-        divergence_margin=float(values["divergence_margin"]),
-        partial_sum_cap=float(values["partial_sum_cap"]),
-    )
-    return RunSettings(digits=digits, sweep_cap=int(values["sweep_cap"]), cfg=cfg)
+    # the tolerance is passed on as given, so a decimal string keeps its value
+    cfg = SummationConfig(**{
+        f.name: values[f.name] if f.name == "tolerance" else type(f.default)(values[f.name])
+        for f in fields(SummationConfig)
+    })
+    return RunSettings(digits, int(values["sweep_cap"]), cfg)
 
 
 def _config_snapshot(settings: RunSettings) -> dict:
-    cfg = settings.cfg
-    return {
-        "digits": settings.digits,
-        "max_terms": cfg.max_terms,
-        "tolerance": str(cfg.tolerance),
-        "abel_levels": cfg.abel_levels,
-        "extrapolation_depth": cfg.extrapolation_depth,
-        "divergence_margin": str(cfg.divergence_margin),
-        "partial_sum_cap": str(cfg.partial_sum_cap),
-    }
+    snapshot = {"digits": settings.digits}
+    for f in fields(SummationConfig):
+        value = getattr(settings.cfg, f.name)
+        snapshot[f.name] = value if isinstance(value, int) else str(value)
+    return snapshot
 
 
 # -- report plumbing ---------------------------------------------------------------
@@ -587,220 +504,181 @@ def _diag_obj(diag, digits: int) -> dict:
     }
 
 
-def _emit(payload: str, out: Optional[str]):
-    sys.stdout.write(payload)
-    if not payload.endswith("\n"):
-        sys.stdout.write("\n")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
-
-
 def _json_text(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
-def _csv_text(header: list, rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _timed(fn, *args):
+    """fn(*args), and the wall-clock milliseconds it took."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, round((time.perf_counter() - t0) * 1000, 3)
+
+
+def _emit_report(args, body: dict, header: list, rows: list, lines: list, wall_ms=None):
+    """Print the report in args.format (JSON: body; CSV: header and rows;
+    text: lines), and write it to args.out too."""
+    report = {"schema": SCHEMA_VERSION, "command": args.command, **body}
+    if wall_ms is not None:
+        report["wall_time_ms"] = wall_ms
+    if args.format == "json":
+        payload = _json_text(report)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        payload = buf.getvalue()
+    else:
+        payload = "\n".join(lines)
+    if not payload.endswith("\n"):
+        payload += "\n"
+    sys.stdout.write(payload)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_compute(args) -> int:
-    settings = load_settings(args)
+def cmd_compute(args, settings: RunSettings) -> int:
     left = parse_distribution(args.left)
     right = parse_distribution(args.right)
-    t0 = time.perf_counter()
-    result = classify_and_sum(left, right, settings.cfg, settings.digits)
-    wall_ms = (time.perf_counter() - t0) * 1000
     digits = settings.digits
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "compute",
-        "inputs": {"left": canonical_text(left), "right": canonical_text(right)},
-        "config": _config_snapshot(settings),
-        "status": result.status,
-        "value": _value_obj(result.value, digits),
-        "n_terms_used": result.n_terms,
-        "diagnostics": _diag_obj(result.diagnostics, digits),
-        "wall_time_ms": round(wall_ms, 3),
-    }
-    if args.format == "json":
-        payload = _json_text(report)
-    elif args.format == "csv":
-        value = report["value"] or {"re": "", "im": ""}
-        payload = _csv_text(
-            ["left", "right", "status", "value_re", "value_im",
-             "n_terms_used", "raabe_estimate", "wall_time_ms"],
-            [[report["inputs"]["left"], report["inputs"]["right"], result.status,
-              value["re"], value["im"], result.n_terms,
-              report["diagnostics"]["raabe_estimate"] or "", report["wall_time_ms"]]],
-        )
-    else:
-        lines = [
-            f"left:    {report['inputs']['left']}",
-            f"right:   {report['inputs']['right']}",
-            f"status:  {result.status}",
-            f"value:   {_value_text(result.value, digits)}",
-            f"terms:   {result.n_terms}",
-        ]
-        d = report["diagnostics"]
-        for key in ("ratio_estimate", "raabe_estimate", "stabilization_dev"):
-            if d[key] is not None:
-                lines.append(f"{key.replace('_', ' ')}: {d[key]}")
-        if d["abel_trace"]:
-            lines.append(f"abel levels: {len(d['abel_trace'])}")
-        if d["message"]:
-            lines.append(f"note:    {d['message']}")
-        lines.append(f"time:    {report['wall_time_ms']} ms")
-        payload = "\n".join(lines)
-    _emit(payload, args.out)
+    result, wall_ms = _timed(classify_and_sum, left, right, settings.cfg, digits)
+    inputs = {"left": canonical_text(left), "right": canonical_text(right)}
+    value = _value_obj(result.value, digits)
+    d = _diag_obj(result.diagnostics, digits)
+    lines = [
+        f"left:    {inputs['left']}",
+        f"right:   {inputs['right']}",
+        f"status:  {result.status}",
+        f"value:   {_value_text(result.value, digits)}",
+        f"terms:   {result.n_terms}",
+    ]
+    for key in ("ratio_estimate", "raabe_estimate", "stabilization_dev"):
+        if d[key] is not None:
+            lines.append(f"{key.replace('_', ' ')}: {d[key]}")
+    if d["abel_trace"]:
+        lines.append(f"abel levels: {len(d['abel_trace'])}")
+    if d["message"]:
+        lines.append(f"note:    {d['message']}")
+    lines.append(f"time:    {wall_ms} ms")
+    cell = value or {"re": "", "im": ""}
+    _emit_report(
+        args,
+        {
+            "inputs": inputs,
+            "config": _config_snapshot(settings),
+            "status": result.status,
+            "value": value,
+            "n_terms_used": result.n_terms,
+            "diagnostics": d,
+        },
+        ["left", "right", "status", "value_re", "value_im",
+         "n_terms_used", "raabe_estimate", "wall_time_ms"],
+        [[inputs["left"], inputs["right"], result.status, cell["re"], cell["im"],
+          result.n_terms, d["raabe_estimate"] or "", wall_ms]],
+        lines,
+        wall_ms,
+    )
     return 3 if result.status == INCONCLUSIVE else 0
 
 
-def cmd_coeffs(args) -> int:
-    settings = load_settings(args)
+def cmd_coeffs(args, settings: RunSettings) -> int:
     dist = parse_distribution(args.dist)
     if args.n_max < 0:
         raise ValueError("--n-max must be >= 0")
+    if args.n_max > MAX_N_MAX:
+        raise ValueError(f"--n-max of {args.n_max} exceeds the cap of {MAX_N_MAX}")
     digits = settings.digits
-    rows = []
-    for n in range(args.n_max + 1):
-        value = coeff(dist, n, digits)
-        obj = _value_obj(value, digits)
-        rows.append({"n": n, "re": obj["re"], "im": obj["im"]})
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "coeffs",
-        "input": canonical_text(dist),
-        "digits": digits,
-        "coefficients": rows,
-    }
-    if args.format == "json":
-        payload = _json_text(report)
-    elif args.format == "csv":
-        payload = _csv_text(["n", "re", "im"], [[r["n"], r["re"], r["im"]] for r in rows])
-    else:
-        width = len(str(args.n_max))
-        lines = [f"coefficients of {report['input']}"]
-        lines += [f"  {r['n']:>{width}}  {r['re']}  {r['im']}i" for r in rows]
-        payload = "\n".join(lines)
-    _emit(payload, args.out)
+    rows = [{"n": n, **_value_obj(coeff(dist, n, digits), digits)}
+            for n in range(args.n_max + 1)]
+    text = canonical_text(dist)
+    width = len(str(args.n_max))
+    _emit_report(
+        args,
+        {"input": text, "digits": digits, "coefficients": rows},
+        ["n", "re", "im"],
+        [[r["n"], r["re"], r["im"]] for r in rows],
+        [f"coefficients of {text}"]
+        + [f"  {r['n']:>{width}}  {r['re']}  {r['im']}i" for r in rows],
+    )
     return 0
 
 
-def _row(identity: str, expected: str, got: str, tolerance: str, ok: bool) -> dict:
-    return {
-        "identity": identity,
-        "expected": expected,
-        "got": got,
-        "tolerance": tolerance,
-        "pass": bool(ok),
-    }
+# -- reproduce tables --------------------------------------------------------------
 
 
-def _reproduce_ex1(digits: int) -> list:
-    cfg = SummationConfig(max_terms=2000, tolerance="1e-20")
-    rows = []
-    for g in (Fraction(0), Fraction(1, 2), Fraction(-1, 2),
-              Fraction(1), Fraction(-1), Fraction(2)):
-        res = classify_and_sum(ExpReal(g), DeltaDeriv(0), cfg, digits)
-        with working(digits):
-            err = abs(res.value - 1) if res.value is not None else mpf("inf")
-        ok = res.status in (ABEL_SUMMABLE, CONVERGENT) and err <= mpf("1e-20")
-        rows.append(_row(f"<exp({g}), delta> = 1", "1",
-                         _value_text(res.value, 21), "1e-20", ok))
-    return rows
+class _Row(NamedTuple):
+    """A reproduce row: a pairing, and the value or the status it must give."""
+
+    label: str
+    left: Distribution
+    right: Distribution
+    cfg: SummationConfig
+    want: object  # a value (int) or a status (str)
+    tol: str  # the tolerance as printed; a value must lie within it
+    shown: Optional[int] = None  # digits printed of the value found
+    statuses: tuple = ()  # the statuses a value may come with; () takes any
 
 
-def _reproduce_ex2(digits: int) -> list:
-    cfg = SummationConfig(max_terms=2000, tolerance="1e-20")
-    rows = []
-    res = classify_and_sum(CosWave(1), DeltaDeriv(0), cfg, digits)
+_OUTCOME_KEYS = ("identity", "expected", "got", "tolerance", "pass")
+
+
+def _outcome(identity: str, expected: str, got: str, tolerance: str, ok: bool) -> dict:
+    return dict(zip(_OUTCOME_KEYS, (identity, expected, got, tolerance, bool(ok))))
+
+
+def _check(row: _Row, digits: int, res=None) -> dict:
+    """Compare a row's pairing, classified here unless res is given, with its want."""
+    res = res or classify_and_sum(row.left, row.right, row.cfg, digits)
+    if isinstance(row.want, str):
+        ok = res.status == row.want and (row.want != ZERO_BY_PARITY or res.value == 0)
+        if row.shown is None:
+            return _outcome(row.label, row.want, res.status, row.tol, ok)
+        # a status row that prints its value is a ZeroByParity row
+        got = f"{_value_text(res.value, row.shown)} ({res.status})"
+        return _outcome(row.label, f"0 ({row.want})", got, row.tol, ok)
     with working(digits):
-        err = abs(res.value - 1) if res.value is not None else mpf("inf")
-    rows.append(_row("<cos, delta> = 1", "1", _value_text(res.value, 21),
-                     "1e-20", res.has_value and err <= mpf("1e-20")))
-    res = classify_and_sum(SinWave(1), DeltaDeriv(0), cfg, digits)
-    rows.append(_row("<sin, delta> = 0", "0 (ZeroByParity)",
-                     f"{_value_text(res.value, 6)} ({res.status})", "exact",
-                     res.status == ZERO_BY_PARITY and res.value == 0))
-    return rows
+        err = abs(res.value - row.want) if res.value is not None else mpf("inf")
+        valued = res.status in row.statuses if row.statuses else res.has_value
+        ok = valued and err <= mpf(row.tol)
+    return _outcome(row.label, str(row.want), _value_text(res.value, row.shown), row.tol, ok)
 
 
-def _reproduce_ex3(digits: int) -> list:
-    cfg = SummationConfig(max_terms=5000, tolerance="1e-16")
-    rows = []
-    res = classify_and_sum(DeltaDeriv(0), DeltaDeriv(0), cfg, digits)
-    rows.append(_row("<delta, delta> divergent", "Divergent", res.status,
-                     "-", res.status == DIVERGENT))
+def _delta_delta_rows(digits: int) -> list:
+    """<delta, delta> diverges, and its Raabe exponent is 1/2: one pairing, two rows."""
+    row = _Row("<delta, delta> divergent", DeltaDeriv(0), DeltaDeriv(0), _EX3_CFG,
+               DIVERGENT, "-")
+    res = classify_and_sum(row.left, row.right, row.cfg, digits)
     raabe = res.diagnostics.raabe_estimate
     got = "-" if raabe is None else _dec(raabe, 6)
     ok = raabe is not None and mpf("0.45") <= raabe <= mpf("0.55")
-    rows.append(_row("delta-delta Raabe exponent", "0.5 within [0.45, 0.55]",
-                     got, "0.05", ok))
-    for k, l in ((0, 1), (0, 3), (1, 2), (2, 3)):
-        res = classify_and_sum(DeltaDeriv(k), DeltaDeriv(l), cfg, digits)
-        rows.append(_row(f"<delta^({k}), delta^({l})> = 0", "0 (ZeroByParity)",
-                         f"{_value_text(res.value, 6)} ({res.status})", "exact",
-                         res.status == ZERO_BY_PARITY and res.value == 0))
-    res = classify_and_sum(DeltaDeriv(1), DeltaDeriv(1), cfg, digits)
-    rows.append(_row("<delta', delta'> divergent", "Divergent", res.status,
-                     "-", res.status == DIVERGENT))
-    return rows
+    label, expected = "delta-delta Raabe exponent", "0.5 within [0.45, 0.55]"
+    return [_check(row, digits, res), _outcome(label, expected, got, "0.05", ok)]
 
 
-def _reproduce_ex4(digits: int) -> list:
-    cfg = SummationConfig(max_terms=2000, tolerance="1e-13")
+def _row_limits(digits: int) -> list:
+    with working(digits):
+        targets = (
+            ("a", "sum of even-pair row terms", mp.pi / mp.sqrt(2), "pi/sqrt(2)"),
+            ("b", "odd-pair row limit at z = -4", mp.pi / (8 * mp.sqrt(2)),
+             "pi/(8 sqrt(2))"),
+        )
     rows = []
-    with working(digits):
-        for n in range(7):
-            for m in range(7):
-                res = phi_psi_product(n, m, cfg, digits)
-                target = 1 if n == m else 0
-                err = abs(res.value - target) if res.value is not None else mpf("inf")
-                rows.append(_row(f"<phi({n}), psi({m})> = {target}", str(target),
-                                 _value_text(res.value, 15), "1e-12",
-                                 res.has_value and err <= mpf("1e-12")))
-    series_cfg = SummationConfig(max_terms=2000, tolerance="1e-16")
-    with working(digits):
-        targets = {
-            "a": ("sum of even-pair row terms", mp.pi / mp.sqrt(2), "pi/sqrt(2)"),
-            "b": ("odd-pair row limit at z = -4", mp.pi / (8 * mp.sqrt(2)), "pi/(8 sqrt(2))"),
-        }
-    for kind, (label, target, target_text) in targets.items():
-        src = series_row_source(kind, digits)
-        value, ok, _levels = abel_sum(src, series_cfg, digits)
+    for kind, label, target, target_text in targets:
+        value, ok, _levels = abel_sum(series_row_source(kind, digits), _EX5_CFG, digits)
         with working(digits):
             err = abs(value - target) if value is not None else mpf("inf")
-        rows.append(_row(label, target_text,
-                         "-" if value is None else _dec(value, 21),
-                         "1e-15", ok and err <= mpf("1e-15")))
+        got = "-" if value is None else _dec(value, 21)
+        rows.append(_outcome(label, target_text, got, "1e-15", ok and err <= mpf("1e-15")))
     return rows
 
 
-def _reproduce_ex5(digits: int) -> list:
-    cfg = SummationConfig(max_terms=2000, tolerance="1e-16")
+def _proportionality_rows(digits: int) -> list:
     rows = []
-    for maker, tag in ((phi_phi_product, "phi-phi"), (psi_psi_product, "psi-psi")):
-        for n in range(4):
-            for m in range(4):
-                res = maker(n, m, cfg, digits)
-                if (n + m) % 2:
-                    expected = "ZeroByParity"
-                    ok = res.status == ZERO_BY_PARITY and res.value == 0
-                else:
-                    expected = "Divergent"
-                    ok = res.status == DIVERGENT
-                rows.append(_row(f"{tag}({n},{m}) status", expected, res.status,
-                                 "-", ok))
     for n, m in ((0, 0), (1, 1), (2, 2), (1, 3), (0, 2)):
         p = n % 2
         a, b = (n - p) // 2, (m - p) // 2
@@ -810,31 +688,21 @@ def _reproduce_ex5(digits: int) -> list:
         psi_sums = pair_partial_sums_exact(
             NormalizedDeltaDeriv(n), NormalizedDeltaDeriv(m), 200)
         ok = all(sp == factor * sq for sp, sq in zip(phi_sums, psi_sums))
-        rows.append(_row(
+        rows.append(_outcome(
             f"S_K(phi-phi {n},{m}) = 2pi(-1)^(a+b) S_K(psi-psi {n},{m}), K<=200",
             "exact", "exact" if ok else "mismatch", "0", ok))
     return rows
 
 
-def _reproduce_adjoint(digits: int) -> list:
-    c = OperatorExpr.letter("c")
-    cdag = OperatorExpr.letter("cdag")
-    x = OperatorExpr.letter("x")
-    d = OperatorExpr.letter("d")
+def _adjoint_rows(digits: int) -> list:
+    c, cdag, x, d = (OperatorExpr.letter(name) for name in ("c", "cdag", "x", "d"))
+    cases = (("c", c, cdag), ("cdag", cdag, c), ("x", x, x), ("D", d, -d),
+             ("ddagger(c)", c.ddagger(), c))
     rows = [
-        _row("ddagger(c) = cdag", "cdag", operator_text(c.ddagger()), "exact",
-             c.ddagger() == cdag),
-        _row("ddagger(cdag) = c", "c", operator_text(cdag.ddagger()), "exact",
-             cdag.ddagger() == c),
-        _row("ddagger(x) = x", "x", operator_text(x.ddagger()), "exact",
-             x.ddagger() == x),
-        _row("ddagger(D) = -D", "-D", operator_text(d.ddagger()), "exact",
-             d.ddagger() == -d),
-        _row("ddagger(ddagger(c)) = c", "c", operator_text(c.ddagger().ddagger()),
-             "exact", c.ddagger().ddagger() == c),
+        _outcome(f"ddagger({name}) = {operator_text(want)}", operator_text(want),
+                 operator_text(op.ddagger()), "exact", op.ddagger() == want)
+        for name, op, want in cases
     ]
-    from .distributions import L2Sample
-
     cfg = SummationConfig(max_terms=2000, tolerance="1e-18")
     triples = (
         ("c, delta, e_3", c, DeltaDeriv(0), L2Sample(coeffs=(0, 0, 0, 1))),
@@ -847,61 +715,92 @@ def _reproduce_adjoint(digits: int) -> list:
         with working(digits):
             scale = max(mpf(1), abs(rep.left.value), abs(rep.right.value))
             ok = rep.difference <= mpf("1e-15") * scale
-        rows.append(_row(f"adjoint identity: {label}", "sides equal",
-                         _dec(rep.difference, 4), "1e-15", ok))
+        rows.append(_outcome(f"adjoint identity: {label}", "sides equal",
+                             _dec(rep.difference, 4), "1e-15", ok))
     return rows
 
 
-_REPRODUCERS = {
-    "ex1": _reproduce_ex1,
-    "ex2": _reproduce_ex2,
-    "ex3": _reproduce_ex3,
-    "ex4": _reproduce_ex4,
-    "ex5": _reproduce_ex5,
-    "adjoint": _reproduce_adjoint,
+_EX1_CFG = SummationConfig(max_terms=2000, tolerance="1e-20")
+_EX3_CFG = SummationConfig(max_terms=5000, tolerance="1e-16")
+_EX4_CFG = SummationConfig(max_terms=2000, tolerance="1e-13")
+_EX5_CFG = SummationConfig(max_terms=2000, tolerance="1e-16")
+
+# example id -> the rows _check checks, and functions of the digits for the
+# rows that check something other than one pairing
+_TABLES = {
+    "ex1": [
+        _Row(f"<exp({g}), delta> = 1", ExpReal(g), DeltaDeriv(0), _EX1_CFG, 1, "1e-20", 21,
+             (ABEL_SUMMABLE, CONVERGENT))
+        for g in (Fraction(0), Fraction(1, 2), Fraction(-1, 2),
+                  Fraction(1), Fraction(-1), Fraction(2))
+    ],
+    "ex2": [
+        _Row("<cos, delta> = 1", CosWave(1), DeltaDeriv(0), _EX1_CFG, 1, "1e-20", 21),
+        _Row("<sin, delta> = 0", SinWave(1), DeltaDeriv(0), _EX1_CFG,
+             ZERO_BY_PARITY, "exact", 6),
+    ],
+    "ex3": [
+        _delta_delta_rows,
+        *[_Row(f"<delta^({k}), delta^({l})> = 0", DeltaDeriv(k), DeltaDeriv(l), _EX3_CFG,
+               ZERO_BY_PARITY, "exact", 6)
+          for k, l in ((0, 1), (0, 3), (1, 2), (2, 3))],
+        _Row("<delta', delta'> divergent", DeltaDeriv(1), DeltaDeriv(1), _EX3_CFG,
+             DIVERGENT, "-"),
+    ],
+    "ex4": [
+        *[_Row(f"<phi({n}), psi({m})> = {int(n == m)}", NormalizedMonomial(n),
+               NormalizedDeltaDeriv(m), _EX4_CFG, int(n == m), "1e-12", 15)
+          for n in range(7) for m in range(7)],
+        _row_limits,
+    ],
+    "ex5": [
+        *[_Row(f"{tag}({n},{m}) status", family(n), family(m), _EX5_CFG,
+               ZERO_BY_PARITY if (n + m) % 2 else DIVERGENT, "-")
+          for tag, family in (("phi-phi", NormalizedMonomial),
+                              ("psi-psi", NormalizedDeltaDeriv))
+          for n in range(4) for m in range(4)],
+        _proportionality_rows,
+    ],
+    "adjoint": [_adjoint_rows],
 }
 
 
-def cmd_reproduce(args) -> int:
-    settings = load_settings(args)
-    t0 = time.perf_counter()
-    rows = _REPRODUCERS[args.example_id](settings.digits)
-    wall_ms = (time.perf_counter() - t0) * 1000
+def _reproduce(example_id: str, digits: int) -> list:
+    rows = []
+    for item in _TABLES[example_id]:
+        rows += item(digits) if callable(item) else [_check(item, digits)]
+    return rows
+
+
+def cmd_reproduce(args, settings: RunSettings) -> int:
+    rows, wall_ms = _timed(_reproduce, args.example_id, settings.digits)
     all_pass = all(r["pass"] for r in rows)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "reproduce",
-        "example_id": args.example_id,
-        "digits": settings.digits,
-        "rows": rows,
-        "all_pass": all_pass,
-        "wall_time_ms": round(wall_ms, 3),
-    }
-    if args.format == "json":
-        payload = _json_text(report)
-    elif args.format == "csv":
-        payload = _csv_text(
-            ["identity", "expected", "got", "tolerance", "pass"],
-            [[r["identity"], r["expected"], r["got"], r["tolerance"], r["pass"]]
-             for r in rows],
-        )
-    else:
-        lines = []
-        for r in rows:
-            mark = "PASS" if r["pass"] else "FAIL"
-            lines.append(f"{mark}  {r['identity']}  expected={r['expected']}"
-                         f"  got={r['got']}  tol={r['tolerance']}")
-        lines.append(f"{'all pass' if all_pass else 'FAILURES'} "
-                     f"({len(rows)} rows, {report['wall_time_ms']} ms)")
-        payload = "\n".join(lines)
-    _emit(payload, args.out)
+    lines = [
+        f"{'PASS' if r['pass'] else 'FAIL'}  {r['identity']}  expected={r['expected']}"
+        f"  got={r['got']}  tol={r['tolerance']}"
+        for r in rows
+    ]
+    lines.append(f"{'all pass' if all_pass else 'FAILURES'} "
+                 f"({len(rows)} rows, {wall_ms} ms)")
+    _emit_report(
+        args,
+        {
+            "example_id": args.example_id,
+            "digits": settings.digits,
+            "rows": rows,
+            "all_pass": all_pass,
+        },
+        list(_OUTCOME_KEYS),
+        [[r[key] for key in _OUTCOME_KEYS] for r in rows],
+        lines,
+        wall_ms,
+    )
     return 0 if all_pass else 2
 
 
-def cmd_sweep(args) -> int:
-    settings = load_settings(args)
-    left_maker = _FAMILIES[args.left_family]
-    right_maker = _FAMILIES[args.right_family]
+def cmd_sweep(args, settings: RunSettings) -> int:
+    left_maker = _ATOMS[args.left_family][0]
+    right_maker = _ATOMS[args.right_family][0]
     n_lo, n_hi = _parse_range(args.n_range)
     m_lo, m_hi = _parse_range(args.m_range)
     total = (n_hi - n_lo + 1) * (m_hi - m_lo + 1)
@@ -910,48 +809,42 @@ def cmd_sweep(args) -> int:
             f"sweep of {total} cells exceeds the cap of {settings.sweep_cap}"
         )
     digits = settings.digits
-    t0 = time.perf_counter()
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        for m in range(m_lo, m_hi + 1):
-            res = classify_and_sum(left_maker(n), right_maker(m), settings.cfg, digits)
-            rows.append({
-                "n": n,
-                "m": m,
-                "status": res.status,
-                "value": _value_obj(res.value, digits),
-            })
-    wall_ms = (time.perf_counter() - t0) * 1000
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "sweep",
-        "inputs": {
-            "left_family": args.left_family,
-            "right_family": args.right_family,
-            "n_range": f"{n_lo}:{n_hi}",
-            "m_range": f"{m_lo}:{m_hi}",
+
+    def cell(n, m):
+        res = classify_and_sum(left_maker(n), right_maker(m), settings.cfg, digits)
+        return {
+            "n": n,
+            "m": m,
+            "status": res.status,
+            "value": _value_obj(res.value, digits),
+        }
+
+    rows, wall_ms = _timed(lambda: [cell(n, m) for n in range(n_lo, n_hi + 1)
+                                    for m in range(m_lo, m_hi + 1)])
+    lines = [f"{args.left_family}({{n}}) x {args.right_family}({{m}}), "
+             f"n in {n_lo}:{n_hi}, m in {m_lo}:{m_hi}"]
+    for r in rows:
+        val = r["value"]["re"] if r["value"] else "-"
+        lines.append(f"  n={r['n']} m={r['m']}  {r['status']}  {val}")
+    _emit_report(
+        args,
+        {
+            "inputs": {
+                "left_family": args.left_family,
+                "right_family": args.right_family,
+                "n_range": f"{n_lo}:{n_hi}",
+                "m_range": f"{m_lo}:{m_hi}",
+            },
+            "config": _config_snapshot(settings),
+            "rows": rows,
         },
-        "config": _config_snapshot(settings),
-        "rows": rows,
-        "wall_time_ms": round(wall_ms, 3),
-    }
-    if args.format == "json":
-        payload = _json_text(report)
-    elif args.format == "csv":
-        payload = _csv_text(
-            ["n", "m", "status", "value_re", "value_im"],
-            [[r["n"], r["m"], r["status"],
-              r["value"]["re"] if r["value"] else "",
-              r["value"]["im"] if r["value"] else ""] for r in rows],
-        )
-    else:
-        lines = [f"{args.left_family}({{n}}) x {args.right_family}({{m}}), "
-                 f"n in {n_lo}:{n_hi}, m in {m_lo}:{m_hi}"]
-        for r in rows:
-            val = r["value"]["re"] if r["value"] else "-"
-            lines.append(f"  n={r['n']} m={r['m']}  {r['status']}  {val}")
-        payload = "\n".join(lines)
-    _emit(payload, args.out)
+        ["n", "m", "status", "value_re", "value_im"],
+        [[r["n"], r["m"], r["status"],
+          r["value"]["re"] if r["value"] else "",
+          r["value"]["im"] if r["value"] else ""] for r in rows],
+        lines,
+        wall_ms,
+    )
     return 0
 
 
@@ -965,73 +858,81 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_adjoint(args) -> int:
-    settings = load_settings(args)
+def cmd_adjoint(args, settings: RunSettings) -> int:
     op = parse_operator(args.op)
     left = parse_distribution(args.left)
     right = parse_distribution(args.right)
     digits = settings.digits
-    t0 = time.perf_counter()
-    rep = adjoint_check(op, left, right, settings.cfg, digits)
-    wall_ms = (time.perf_counter() - t0) * 1000
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "adjoint",
-        "inputs": {
-            "op": operator_text(op),
-            "left": canonical_text(left),
-            "right": canonical_text(right),
-        },
-        "config": _config_snapshot(settings),
-        "left_status": rep.left.status,
-        "right_status": rep.right.status,
-        "left_value": _value_obj(rep.left.value, digits),
-        "right_value": _value_obj(rep.right.value, digits),
-        "difference": _dec(rep.difference, digits),
-        "max_partial_dev": _dec(rep.max_partial_dev, digits),
-        "wall_time_ms": round(wall_ms, 3),
+    rep, wall_ms = _timed(adjoint_check, op, left, right, settings.cfg, digits)
+    inputs = {
+        "op": operator_text(op),
+        "left": canonical_text(left),
+        "right": canonical_text(right),
     }
-    if args.format == "json":
-        payload = _json_text(report)
-    elif args.format == "csv":
-        payload = _csv_text(
-            ["op", "left", "right", "left_status", "right_status", "difference"],
-            [[report["inputs"]["op"], report["inputs"]["left"],
-              report["inputs"]["right"], rep.left.status, rep.right.status,
-              report["difference"]]],
-        )
-    else:
-        payload = "\n".join([
-            f"op:      {report['inputs']['op']}",
-            f"left:    <{report['inputs']['op']}‡ {report['inputs']['left']}, "
-            f"{report['inputs']['right']}> = {_value_text(rep.left.value, digits)}"
-            f"  ({rep.left.status})",
-            f"right:   <{report['inputs']['left']}, {report['inputs']['op']} "
-            f"{report['inputs']['right']}> = {_value_text(rep.right.value, digits)}"
-            f"  ({rep.right.status})",
-            f"|diff|:  {report['difference']}",
-            f"time:    {report['wall_time_ms']} ms",
-        ])
-    _emit(payload, args.out)
+    difference = _dec(rep.difference, digits)
+    _emit_report(
+        args,
+        {
+            "inputs": inputs,
+            "config": _config_snapshot(settings),
+            "left_status": rep.left.status,
+            "right_status": rep.right.status,
+            "left_value": _value_obj(rep.left.value, digits),
+            "right_value": _value_obj(rep.right.value, digits),
+            "difference": difference,
+            "max_partial_dev": _dec(rep.max_partial_dev, digits),
+        },
+        ["op", "left", "right", "left_status", "right_status", "difference"],
+        [[inputs["op"], inputs["left"], inputs["right"], rep.left.status,
+          rep.right.status, difference]],
+        [
+            f"op:      {inputs['op']}",
+            f"left:    <{inputs['op']}‡ {inputs['left']}, {inputs['right']}> = "
+            f"{_value_text(rep.left.value, digits)}  ({rep.left.status})",
+            f"right:   <{inputs['left']}, {inputs['op']} {inputs['right']}> = "
+            f"{_value_text(rep.right.value, digits)}  ({rep.right.status})",
+            f"|diff|:  {difference}",
+            f"time:    {wall_ms} ms",
+        ],
+        wall_ms,
+    )
     return 0
 
 
 # -- entry point -------------------------------------------------------------------
 
 
+def _error(message, code: int, **extra) -> int:
+    """Print an error report on standard error; return the exit code."""
+    sys.stderr.write(_json_text({"error": str(message), **extra}) + "\n")
+    return code
+
+
 class _Parser1(argparse.ArgumentParser):
     def error(self, message):
-        sys.stderr.write(_json_text({"error": message}) + "\n")
-        raise SystemExit(1)
+        raise SystemExit(_error(message, 1))
 
 
-def _add_common(sub, fmt_default="text"):
+# flag -> (the config key it overrides, type, help)
+_SUMMATION_FLAGS = {
+    "--terms": ("max_terms", int, "term-scan budget"),
+    "--tol": ("tolerance", str, "summation tolerance"),
+    "--abel-levels": ("abel_levels", int, None),
+}
+
+
+def _add_common(sub, fn, summation: bool = False):
+    if summation:
+        for flag, (key, kind, text) in _SUMMATION_FLAGS.items():
+            sub.add_argument(flag, dest=key, type=kind, default=None, help=text,
+                             metavar=flag[2:].upper().replace("-", "_"))
     sub.add_argument("--digits", type=int, default=None,
                      help="result precision in decimal digits")
-    sub.add_argument("--format", choices=("json", "csv", "text"), default=fmt_default)
+    sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sub.add_argument("--out", default=None, help="also write the report here")
     sub.add_argument("--config", default=None,
                      help=f"JSON config file (default from ${CONFIG_ENV})")
+    sub.set_defaults(fn=fn)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1042,43 +943,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("compute", help="classify and evaluate one pairing")
     sub.add_argument("left")
     sub.add_argument("right")
-    sub.add_argument("--terms", type=int, default=None, help="term-scan budget")
-    sub.add_argument("--tol", default=None, help="summation tolerance")
-    sub.add_argument("--abel-levels", type=int, default=None)
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_compute)
+    _add_common(sub, cmd_compute, summation=True)
 
     sub = subs.add_parser("coeffs", help="basis coefficients of one distribution")
     sub.add_argument("dist")
     sub.add_argument("--n-max", type=int, required=True)
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_coeffs)
+    _add_common(sub, cmd_coeffs)
 
     sub = subs.add_parser("reproduce", help="rerun a named identity table")
-    sub.add_argument("example_id", choices=sorted(_REPRODUCERS))
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_reproduce)
+    sub.add_argument("example_id", choices=sorted(_TABLES))
+    _add_common(sub, cmd_reproduce)
 
     sub = subs.add_parser("sweep", help="status/value matrix over index ranges")
-    sub.add_argument("left_family", choices=sorted(_FAMILIES))
-    sub.add_argument("right_family", choices=sorted(_FAMILIES))
+    sub.add_argument("left_family", choices=_FAMILIES)
+    sub.add_argument("right_family", choices=_FAMILIES)
     sub.add_argument("--n-range", required=True, help="inclusive A:B")
     sub.add_argument("--m-range", required=True, help="inclusive A:B")
-    sub.add_argument("--terms", type=int, default=None)
-    sub.add_argument("--tol", default=None)
-    sub.add_argument("--abel-levels", type=int, default=None)
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_sweep)
+    _add_common(sub, cmd_sweep, summation=True)
 
     sub = subs.add_parser("adjoint", help="check <X‡F, G> = <F, XG> for one triple")
     sub.add_argument("op")
     sub.add_argument("left")
     sub.add_argument("right")
-    sub.add_argument("--terms", type=int, default=None)
-    sub.add_argument("--tol", default=None)
-    sub.add_argument("--abel-levels", type=int, default=None)
-    _add_common(sub)
-    sub.set_defaults(fn=cmd_adjoint)
+    _add_common(sub, cmd_adjoint, summation=True)
 
     return parser
 
@@ -1103,30 +990,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        code = args.fn(args, load_settings(args))
         sys.stdout.flush()  # a closed pipe may only show on the flush
         return code
     except BrokenPipeError:
         _discard_stdout()
         return EXIT_BROKEN_PIPE
     except ExprError as exc:
-        sys.stderr.write(
-            _json_text({"error": str(exc), "position": exc.position}) + "\n"
-        )
-        return 1
+        return _error(exc, 1, position=exc.position)
     except InconclusivePairingError as exc:
-        sys.stderr.write(_json_text({"error": str(exc)}) + "\n")
-        return 3
+        return _error(exc, 3)
     except (SingularKernelError, RuntimeError) as exc:
         # internal faults: a failed closed-form cross-check, disagreeing
         # moment routes, a stalled quadrature rule, a singular kernel
-        sys.stderr.write(
-            _json_text({"error": str(exc), "fault": type(exc).__name__}) + "\n"
-        )
-        return 4
+        return _error(exc, 4, fault=type(exc).__name__)
     except (ValueError, OSError) as exc:
-        sys.stderr.write(_json_text({"error": str(exc)}) + "\n")
-        return 1
+        return _error(exc, 1)
 
 
 if __name__ == "__main__":

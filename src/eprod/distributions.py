@@ -39,6 +39,7 @@ from .hermite import derivative_at_zero_via_moments
 from .precision import DEFAULT_DPS, to_mpc, to_mpf, working
 
 __all__ = [
+    "MAX_ORDER",
     "DeltaDeriv",
     "Monomial",
     "NormalizedDeltaDeriv",
@@ -79,13 +80,24 @@ def _as_rational(value) -> Fraction:
     raise TypeError(f"rational parameter expected, got {type(value).__name__}")
 
 
+# largest derivative order, degree or index of delta^(k), x^p, phi(n) and
+# psi(n), so that input bounds the cost of their coefficient streams
+MAX_ORDER = 64
+
+
+def _check_index(what: str, value: int):
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    if value > MAX_ORDER:
+        raise ValueError(f"{what} {value} exceeds the cap of {MAX_ORDER}")
+
+
 @dataclass(frozen=True)
 class DeltaDeriv:
     order: int = 0
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"derivative order must be >= 0, got {self.order}")
+        _check_index("derivative order", self.order)
 
 
 @dataclass(frozen=True)
@@ -93,8 +105,7 @@ class Monomial:
     degree: int = 0
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        _check_index("degree", self.degree)
 
 
 @dataclass(frozen=True)
@@ -102,8 +113,7 @@ class NormalizedDeltaDeriv:
     index: int = 0
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"index must be >= 0, got {self.index}")
+        _check_index("index", self.index)
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,7 @@ class NormalizedMonomial:
     index: int = 0
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"index must be >= 0, got {self.index}")
+        _check_index("index", self.index)
 
 
 @dataclass(frozen=True)

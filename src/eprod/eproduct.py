@@ -135,7 +135,6 @@ class AbelLevel:
 
 @dataclass
 class Diagnostics:
-    n_scanned: int = 0
     n_nonzero: int = 0
     ratio_estimate: Optional[mpf] = None
     raabe_estimate: Optional[mpf] = None
@@ -152,7 +151,6 @@ class EProductResult:
     value: Optional[mpc]
     n_terms: int
     diagnostics: Diagnostics
-    config: SummationConfig
 
     @property
     def has_value(self) -> bool:
@@ -386,7 +384,7 @@ def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProd
     diag = Diagnostics(low_confidence=source.low_confidence)
     if source.structural_zero:
         diag.message = "every term vanishes by parity"
-        return EProductResult(ZERO_BY_PARITY, mpc(0), 0, diag, cfg)
+        return EProductResult(ZERO_BY_PARITY, mpc(0), 0, diag)
 
     with working(source.dps or dps):
         tol = mpf(cfg.tolerance)
@@ -416,7 +414,7 @@ def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProd
                 nonzero.append((j, t))
             if diag.overflow_index is None and a > cap:
                 diag.overflow_index = source.basis_index(j)
-        diag.n_scanned = source.basis_index(j_limit - 1) + 1 if j_limit else 0
+        n_scanned = source.basis_index(j_limit - 1) + 1 if j_limit else 0
         diag.n_nonzero = len(nonzero)
         scale = peak
         tol_abs = tol * scale
@@ -427,7 +425,7 @@ def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProd
             if source.low_confidence:
                 diag.message += "; a projected callable did not settle"
             return EProductResult(
-                ABSOLUTELY_CONVERGENT, value, diag.n_scanned, diag, cfg
+                ABSOLUTELY_CONVERGENT, value, n_scanned, diag
             )
 
         # stage 2: geometric decay of the nonzero magnitudes
@@ -443,7 +441,7 @@ def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProd
                 tail = abs(nonzero[-1][1]) * worst / (1 - worst)
                 if tail <= tol_abs:
                     return EProductResult(
-                        ABSOLUTELY_CONVERGENT, sums[-1], diag.n_scanned, diag, cfg
+                        ABSOLUTELY_CONVERGENT, sums[-1], n_scanned, diag
                     )
 
         # stage 3: partial sums already stabilized
@@ -452,7 +450,7 @@ def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProd
             dev = max(abs(sums[-1 - i] - sums[-1]) for i in range(1, w + 1))
             diag.stabilization_dev = dev
             if dev <= tol_abs:
-                return EProductResult(CONVERGENT, sums[-1], diag.n_scanned, diag, cfg)
+                return EProductResult(CONVERGENT, sums[-1], n_scanned, diag)
 
         # stage 4: single-signed tail, Raabe exponent.  Work on the longest
         # suffix of nonzero terms whose stored indices are consecutive, so
@@ -487,14 +485,14 @@ def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProd
                 # sum t_n r**n then diverges on a whole interval r < 1, so
                 # neither ordinary nor Abel summation can exist
                 diag.message = "term magnitudes grow geometrically"
-                return EProductResult(DIVERGENT, None, diag.n_scanned, diag, cfg)
+                return EProductResult(DIVERGENT, None, n_scanned, diag)
             if len(suffix) >= 32 and _single_signed([t for _, t in suffix]):
                 try:
                     rho = raabe_test(mags, index_base=suffix[0][0])
                     diag.raabe_estimate = rho
                     if rho < 1 - mpf(cfg.divergence_margin):
                         return EProductResult(
-                            DIVERGENT, None, diag.n_scanned, diag, cfg
+                            DIVERGENT, None, n_scanned, diag
                         )
                 except ValueError:
                     pass
@@ -505,16 +503,16 @@ def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProd
         if ok:
             if source.abel_eval is not None:
                 diag.message = "Abel levels evaluated in closed form"
-            return EProductResult(ABEL_SUMMABLE, value, diag.n_scanned, diag, cfg)
+            return EProductResult(ABEL_SUMMABLE, value, n_scanned, diag)
 
         if diag.overflow_index is not None:
             diag.low_confidence = True
             diag.message = (
                 "partial sums exceeded the cap and no summation method settled"
             )
-            return EProductResult(DIVERGENT, None, diag.n_scanned, diag, cfg)
+            return EProductResult(DIVERGENT, None, n_scanned, diag)
         diag.message = "no stage reached a verdict within budget"
-        return EProductResult(INCONCLUSIVE, None, diag.n_scanned, diag, cfg)
+        return EProductResult(INCONCLUSIVE, None, n_scanned, diag)
 
 
 def _single_signed(tail) -> bool:
@@ -634,7 +632,7 @@ def classify_and_sum(
     pf, pg = seq_f.parity, seq_g.parity
     if pf is not None and pg is not None and pf != pg:
         diag = Diagnostics(message="left and right parities are opposite")
-        return EProductResult(ZERO_BY_PARITY, mpc(0), 0, diag, cfg)
+        return EProductResult(ZERO_BY_PARITY, mpc(0), 0, diag)
     stride, offset = (2, pf) if pf is not None and pf == pg else (1, 0)
     support = min((s.support for s in (seq_f, seq_g) if s.support is not None), default=None)
     abel_eval = None

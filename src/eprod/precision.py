@@ -13,12 +13,16 @@ from mpmath import mp, mpc, mpf
 
 DEFAULT_DPS = 60
 MIN_DPS = 30
+# largest precision, so that input bounds the cost of every computation
+MAX_DPS = 1000
 GUARD_DPS = 10
 
 
 def check_dps(dps: int) -> int:
     if not isinstance(dps, int) or dps < MIN_DPS:
         raise ValueError(f"precision must be an integer >= {MIN_DPS} digits, got {dps!r}")
+    if dps > MAX_DPS:
+        raise ValueError(f"precision of {dps} digits exceeds the cap of {MAX_DPS}")
     return dps
 
 

@@ -452,3 +452,54 @@ def test_digits_floor_enforced(capsys):
     )
     assert rc == 1
     assert "precision" in json.loads(err)["error"]
+
+
+# -- input caps ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        (["compute", "x", "delta", "--digits", "1001"], "cap of 1000"),
+        (["coeffs", "x", "--n-max", "10001"], "cap of 10000"),
+        (["compute", "delta^(65)", "exp(1)"], "cap of 64"),
+        (["compute", "x^65", "delta"], "cap of 64"),
+        (["compute", "phi(65)", "psi(0)"], "cap of 64"),
+        (["compute", "phi(0)", "psi(65)"], "cap of 64"),
+        (["sweep", "phi", "psi", "--n-range", "65:66", "--m-range", "0:0"], "cap of 64"),
+    ],
+)
+def test_input_caps_reject(capsys, argv, cap):
+    # only the rejection path: nothing of the capped size is computed
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1 and out == ""
+    assert cap in json.loads(err)["error"]
+
+
+# -- remaining exit codes ------------------------------------------------------------
+
+
+def test_failing_reproduce_row_exits_two(capsys, monkeypatch):
+    rows = list(cli._TABLES["ex2"])
+    rows[0] = rows[0]._replace(want=2)  # <cos, delta> is 1, not 2
+    monkeypatch.setitem(cli._TABLES, "ex2", rows)
+    rc, out, _ = run_cli(capsys, ["reproduce", "ex2", "--format", "json"])
+    assert rc == 2
+    rep = json.loads(out)
+    assert rep["all_pass"] is False
+    assert [r["pass"] for r in rep["rows"]] == [False, True]
+
+
+def test_missing_config_file_exits_one(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    rc, out, err = run_cli(capsys, ["compute", "x", "delta", "--config", str(missing)])
+    assert rc == 1 and out == ""
+    assert "cannot read config file" in json.loads(err)["error"]
+
+
+def test_out_into_missing_directory_exits_one(tmp_path, capsys):
+    target = tmp_path / "absent" / "report.json"
+    rc, _, err = run_cli(capsys, ["compute", "x", "delta", "--out", str(target)])
+    assert rc == 1
+    assert "No such file or directory" in json.loads(err)["error"]
+    assert not target.exists()

@@ -182,6 +182,18 @@ def test_support_bound():
     assert support(LinearCombo(((1, L2Sample(coeffs=(1,))), (1, ExpReal(1))))) is None
 
 
+@pytest.mark.parametrize(
+    "cls", [DeltaDeriv, Monomial, NormalizedMonomial, NormalizedDeltaDeriv]
+)
+def test_order_and_index_capped(cls):
+    assert distributions.MAX_ORDER == 64
+    cls(distributions.MAX_ORDER)
+    with pytest.raises(ValueError, match="cap of 64"):
+        cls(distributions.MAX_ORDER + 1)
+    with pytest.raises(ValueError, match=">= 0"):
+        cls(-1)
+
+
 def test_l2_sample_validation():
     with pytest.raises(ValueError):
         L2Sample()

@@ -7,6 +7,9 @@ unchanged.  Regenerate the file (only when a change of behaviour is
 intended, and say so) with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+The writer keeps every stored cell that the test accepts, adds the missing
+ones, and prints each key it changes, adds or removes.
 """
 
 import json
@@ -178,29 +181,46 @@ GROUPS = {
 }
 
 
+def _mismatch(key, cell, ref):
+    """Why the grid rejects a recomputed cell against its stored one, or None."""
+    if cell["status"] != ref["status"]:
+        return f"{key}: status {cell['status']} vs {ref['status']}"
+    if (cell["value"] is None) != (ref["value"] is None):
+        return f"{key}: value {cell['value']} vs {ref['value']}"
+    if ref["value"] is not None:
+        with working(40):
+            a = mpc(*map(mpf, cell["value"]))
+            b = mpc(*map(mpf, ref["value"]))
+            if abs(a - b) > mpf("1e-12") * max(1, abs(b)):
+                return f"{key}: value {cell['value']} vs {ref['value']}"
+    return None
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_golden_grid(group):
     want = json.loads(GOLDEN.read_text())[group]
     got = GROUPS[group]()
     assert sorted(got) == sorted(want)
-    failures = []
-    with working(40):
-        for key, ref in want.items():
-            cell = got[key]
-            if cell["status"] != ref["status"]:
-                failures.append(f"{key}: status {cell['status']} vs {ref['status']}")
-            elif (cell["value"] is None) != (ref["value"] is None):
-                failures.append(f"{key}: value {cell['value']} vs {ref['value']}")
-            elif ref["value"] is not None:
-                a = mpc(*map(mpf, cell["value"]))
-                b = mpc(*map(mpf, ref["value"]))
-                if abs(a - b) > mpf("1e-12") * max(1, abs(b)):
-                    failures.append(f"{key}: value {cell['value']} vs {ref['value']}")
+    failures = [f for key, ref in want.items() if (f := _mismatch(key, got[key], ref))]
     assert not failures, "; ".join(failures)
 
 
 if __name__ == "__main__":
+    # keep every stored cell the test accepts, so that adding cells does not
+    # rewrite the far digits of the others; report each key that changes
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    grid = {name: fn() for name, fn in sorted(GROUPS.items())}
+    stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    grid = {}
+    for name, fn in sorted(GROUPS.items()):
+        old = stored.get(name, {})
+        grid[name] = {}
+        for key, cell in fn().items():
+            if key in old and _mismatch(key, cell, old[key]) is None:
+                grid[name][key] = old[key]
+            else:
+                grid[name][key] = cell
+                print(f"{name}: {key}: {'changed' if key in old else 'added'}")
+        for key in sorted(set(old) - set(grid[name])):
+            print(f"{name}: {key}: removed")
     GOLDEN.write_text(json.dumps(grid, indent=1, sort_keys=True) + "\n")
