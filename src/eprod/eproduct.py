@@ -21,8 +21,9 @@ A finite support gives the exact truncated sum.  Otherwise, when both
 streams come from point-branch lists (point masses, monomials, exponentials,
 waves and their combinations), stage 5 takes its Abel levels from the
 eigenfunction-kernel closed form over the same two lists
-(``branches.kernel_eval``), cross-checked once against direct summation of
-the streams; any other pair sums each Abel level term by term.
+(``branches.kernel_eval``), cross-checked once against the direct sum of
+the streams; any other pair takes every Abel level from that same direct
+sum, which stops on a bound of its dropped tail.
 
 The exact hypergeometric rows (`series_term`) and the exact pair terms of
 the monomial/delta families stay available for the exact identities they
@@ -88,10 +89,6 @@ ZERO_BY_PARITY = "ZeroByParity"
 INCONCLUSIVE = "Inconclusive"
 
 _VALUED = {ABSOLUTELY_CONVERGENT, CONVERGENT, ABEL_SUMMABLE, ZERO_BY_PARITY}
-
-# hard backstop for one Abel level's inner loop, independent of config
-_MAX_INNER_TERMS = 2_000_000
-
 
 class ConfigError(ValueError):
     """Invalid summation configuration."""
@@ -246,9 +243,10 @@ def abel_sum(source: TermSource, cfg: SummationConfig, dps: int):
     themselves (never from raw partial sums, whose size says nothing about
     the regularized limit).  Returns (value, ok, levels).
 
-    A source with a closed-form ``abel_eval`` skips the term loop; the
-    closed form is cross-checked against direct summation once, at the
-    shallowest level, where the term route is still well conditioned.
+    Each level is the direct sum of the weighted terms (`_direct_level`),
+    unless the source has a closed-form ``abel_eval``: that one is
+    cross-checked against the same direct sum once, at the shallowest level,
+    where the direct sum is still well conditioned.
     """
     eff = source.dps or dps
     with working(eff):
@@ -267,8 +265,10 @@ def abel_sum(source: TermSource, cfg: SummationConfig, dps: int):
                     _cross_check_level(source, r, value)
                     checked = True
             else:
-                value, complete = _abel_inner(source, r, tol * scale / 8)
-                if not complete:
+                value, settled, _ = _direct_level(
+                    source, r, tol * scale / 8, _MAX_LEVEL_TERMS
+                )
+                if not settled:
                     return (prev_rich, False, levels)
             level = AbelLevel(k=k, value=value)
             levels.append(level)
@@ -290,88 +290,78 @@ def abel_sum(source: TermSource, cfg: SummationConfig, dps: int):
         return (prev_rich, False, levels)
 
 
-def _abel_inner(source: TermSource, r, inner_tol):
-    """sum of t_j r**basis_index(j), truncated once the geometric tail bound
-    drops below inner_tol; (value, completed)."""
-    stop_support = source.stored_support()
-    p = r ** source.offset
-    step = r**source.stride
-    threshold = inner_tol * (1 - r)
-    bailout = mpf(10) ** 200
-    total = 0
-    below = 0
-    j = 0
-    term = source.term
-    while j < _MAX_INNER_TERMS:
-        if stop_support is not None and j >= stop_support:
-            return total, True
-        v = term(j) * p
-        total += v
-        if abs(v) <= threshold:
-            below += 1
-            if below >= 8 and j >= 32:
-                return total, True
-        else:
-            below = 0
-        if j % 1024 == 0 and abs(total) > bailout:
-            return total, False
-        p *= step
-        j += 1
-    return total, False
-
-
-# cross-check budget: enough terms to resolve the shallowest Abel level
+# term budgets of one direct Abel-level sum: the term route's backstop, and
+# enough terms to resolve the shallowest level for the cross-check
+_MAX_LEVEL_TERMS = 2_000_000
 _CROSS_CHECK_TERMS = 6000
+
+
+def _direct_level(source: TermSource, r, target, budget: int):
+    """sum_j t_j r**basis_index(j) over at most ``budget`` terms, as
+    (value, settled, noise).
+
+    The sum settles at the end of a finite support, or once the dropped tail
+    is bounded below a quarter of the larger of ``target`` and ``noise``.
+    ``noise`` is the largest weighted term (at least 1) times
+    10**-(working digits - 12): cancellation through the term hump already
+    cost that much, so no direct sum beats it.  The terms are taken in
+    groups of 8, each summed as a dot product with its weights, and the
+    running mass (the sum of |weighted term|) is kept after each group.  The
+    tail is bounded from the last two blocks of about a third of the groups
+    each: past a hump the block masses of a point pairing shrink at least
+    geometrically, by no less than their last ratio and than step**len (the
+    weights alone), so the tail after the last block is at most
+    last * q / (1 - q).  Blocks that long span the beats of oscillating
+    coefficients, and a ratio taken over them keeps the exp(g sqrt(2n))
+    growth of exponential ones.  A sum past 1e200 is given up unsettled.
+    """
+    support = source.stored_support()
+    n = budget if support is None else min(budget, support)
+    step = r**source.stride
+    powers = [step**i for i in range(8)]  # the weights inside a group
+    step8 = step**8
+    floor = mpf(10) ** (-(mp.dps - 12))
+    p = r**source.offset  # the weight of the group's first term
+    total = 0
+    peak = mpf(1)
+    run = mpf(0)
+    mass = [run]  # mass[m] = the running mass after m groups
+    term = source.term
+    for m, j0 in enumerate(range(0, n, 8), 1):
+        group = [term(j) for j in range(j0, min(j0 + 8, n))]
+        mags = [abs(t) for t in group]
+        total += p * mp.fdot(group, powers)
+        a = p * mp.fdot(mags, powers)
+        run += a
+        if a > peak:  # the group's mass bounds its largest term
+            peak = max(peak, *(p * w * t for t, w in zip(mags, powers)))
+        p *= step8
+        mass.append(run)
+        # the bound costs more than a group, so past 64 groups it is
+        # checked on every 64th of the groups summed so far
+        if m >= 5 and (m < 64 or m % (m >> 6) == 0):
+            width = m // 3  # in groups
+            last = run - mass[m - width]
+            before = mass[m - width] - mass[m - 2 * width]
+            if last <= before:
+                q = max(last / before if before else 0, step8**width)
+                if last * q / (1 - q) <= max(target, floor * peak) / 4:
+                    return total, True, floor * peak
+        if m % 128 == 0 and abs(total) > mpf(10) ** 200:
+            return total, False, floor * peak
+    return total, n == support, floor * peak
 
 
 def _cross_check_level(source: TermSource, r, closed_value):
     """Guard that a closed-form evaluator and the raw terms describe the
-    same series.  Compares at modest accuracy relative to the largest
-    weighted term (direct summation loses digits to cancellation when the
-    terms hump before decaying)."""
-    p = r ** source.offset
-    step = r**source.stride
-    total = 0
-    peak = mpf(1)
-    run = mpf(0)  # sum of |weighted term| so far
-    mass = [run]  # mass[m] = that sum over the first 8 m terms
-    term = source.term
-    settled = False
-    # the direct sum cannot beat peak * 10**-(working digits): cancellation
-    # through the term hump already cost that much.  The gate is the larger
-    # of that floor and a modest relative error.  The dropped tail is bounded
-    # from the last two blocks of about a third of the terms each (whole
-    # steps of 8 terms, where the running mass is kept): past a hump the
-    # block masses of a point pairing shrink at least geometrically, by no
-    # less than their last ratio and than step**len (the weights alone),
-    # so the tail after the last block is at most last * q / (1 - q).  Blocks
-    # that long span the beats of oscillating coefficients, and a ratio taken
-    # over them keeps the exp(g sqrt(2n)) growth of exponential ones.
-    floor = mpf(10) ** (-(mp.dps - 12))
+    same series.  Compares at modest accuracy relative to the level and to
+    the direct sum's cancellation noise; a direct sum that does not settle
+    within its budget checks nothing."""
     rel = mpf("1e-10") * max(mpf(1), abs(closed_value))
-    for j in range(_CROSS_CHECK_TERMS):
-        v = term(j) * p
-        total += v
-        a = abs(v)
-        if a > peak:
-            peak = a
-        run += a
-        if j % 8 == 7:  # the bound costs more than a term
-            mass.append(run)
-            m = len(mass) - 1
-            if m >= 5:
-                width = m // 3  # in steps of 8 terms
-                last = run - mass[m - width]
-                before = mass[m - width] - mass[m - 2 * width]
-                if last <= before:
-                    q = max(last / before if before else 0, step ** (8 * width))
-                    if last * q / (1 - q) <= max(rel, floor * peak) / 4:
-                        settled = True
-                        break
-        p *= step
+    total, settled, noise = _direct_level(source, r, rel, _CROSS_CHECK_TERMS)
     if not settled:
         return
-    gate = max(rel, mpf("1e-10") * abs(total), floor * peak)
+    gate = max(rel, mpf("1e-10") * abs(total), noise)
     if abs(closed_value - total) > gate:
         raise RuntimeError(
             "closed-form Abel evaluator disagrees with direct summation "
@@ -505,7 +495,8 @@ def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProd
                 diag.message = "Abel levels evaluated in closed form"
             return EProductResult(ABEL_SUMMABLE, value, n_scanned, diag)
 
-        if diag.overflow_index is not None:
+        # Divergent needs an Abel level past the cap, not only the scan's sums
+        if diag.overflow_index is not None and any(abs(v.value) > cap for v in levels):
             diag.low_confidence = True
             diag.message = (
                 "partial sums exceeded the cap and no summation method settled"

@@ -158,6 +158,10 @@ def _moment_closed(k: int, p: int) -> ExactTerm:
     return out * f
 
 
+# entries past which the recurrence table is emptied when a call starts, and
+# entries kept by the moment cache: exact terms of high order are large
+RECURRENCE_CACHE_CAP = 2**16
+MOMENT_CACHE_SIZE = 4096
 _recurrence_cache: dict[tuple[int, int], ExactTerm] = {}
 
 
@@ -171,6 +175,8 @@ def _moment_recurrence(k: int, p: int) -> ExactTerm:
     cached = _recurrence_cache.get((k, p))
     if cached is not None:
         return cached
+    if len(_recurrence_cache) > RECURRENCE_CACHE_CAP:
+        _recurrence_cache.clear()
     # fill the p = 0 column up to k, then march p upward row by row
     for kk in range(0, k + 1):
         if (kk, 0) not in _recurrence_cache:
@@ -196,7 +202,7 @@ def _moment_recurrence(k: int, p: int) -> ExactTerm:
     return _recurrence_cache[(k, p)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MOMENT_CACHE_SIZE)
 def moment_integral(k: int, p: int) -> ExactTerm:
     """I(k, p) = integral of x**p exp(-x**2/2) H_k(x) dx, exact.
 

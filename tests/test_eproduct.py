@@ -156,6 +156,38 @@ def test_abel_sum_of_grandi_series():
     assert [lvl.k for lvl in levels] == list(range(4, 4 + len(levels)))
 
 
+@pytest.mark.parametrize("c", ["0.98", "0.95"])
+def test_abel_sum_runs_past_a_trough_of_the_terms(c):
+    # t_j = sin(pi j / 100)**40 c**j all but vanishes near every j = 100 m;
+    # a level that stops in the first trough drops every later crest
+    c = mpf(c)
+    src = TermSource(lambda j: mp.sin(mp.pi * j / 100) ** 40 * c**j)
+    value, ok, _ = abel_sum(src, _CFG, 30)
+    assert ok
+    with mp.workdps(30):
+        want = sum(src.term(j) for j in range(100)) / (1 - c**100)
+        assert abs(value - want) <= mpf("1e-12") * want
+
+
+def test_abel_sum_stops_at_a_finite_support():
+    src = TermSource(lambda j: mpf(j + 1), support=5)
+    value, ok, _ = abel_sum(src, _CFG, 30)
+    assert ok
+    assert value == 15
+
+
+def test_abel_sum_gives_up_on_a_level_past_the_bailout():
+    fetched = []
+
+    def fetch(j):
+        fetched.append(j)
+        return mpf(3) ** j
+
+    value, ok, levels = abel_sum(TermSource(fetch), _CFG, 30)
+    assert not ok and levels == []
+    assert len(fetched) < 2048
+
+
 def test_abel_sum_uses_closed_form_and_cross_checks():
     # honest closed form: geometric ratio 1/2 summed against r
     def closed(r):
@@ -275,6 +307,17 @@ def test_single_signed_raabe_divergence():
     assert res.diagnostics.raabe_estimate is not None
     with mp.workdps(40):
         assert abs(res.diagnostics.raabe_estimate - mpf("0.5")) < mpf("0.02")
+
+
+def test_overflow_without_a_level_past_the_cap_is_inconclusive():
+    # the scan's partial sums of delta^(40) x exp(1) pass the cap, but the
+    # Abel levels stay small and extrapolate towards the value 1
+    res = classify_and_sum(DeltaDeriv(40), ExpReal(1), dps=30)
+    assert res.diagnostics.overflow_index is not None
+    assert res.status == INCONCLUSIVE
+    assert res.value is None
+    with mp.workdps(30):
+        assert abs(res.diagnostics.abel_trace[-1].richardson - 1) < mpf("1e-12")
 
 
 def test_harmonic_terms_inside_margin_stay_inconclusive():

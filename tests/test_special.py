@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from eprod import special
 from eprod.exact import ExactTerm
 from eprod.special import (
     HypergeometricPoleError,
@@ -112,6 +113,19 @@ def test_moment_integral_parity_zero():
     assert moment_integral(1, 2).is_zero
     assert moment_integral(2, 3).is_zero
     assert moment_integral(0, 5).is_zero
+
+
+def test_moment_caches_are_bounded(monkeypatch):
+    assert moment_integral.cache_info().maxsize == special.MOMENT_CACHE_SIZE
+    monkeypatch.setattr(special, "RECURRENCE_CACHE_CAP", 10)
+    monkeypatch.setattr(special, "_recurrence_cache", {})
+    special._moment_recurrence(4, 4)
+    assert len(special._recurrence_cache) == 25  # k, p = 0..4
+    # past the cap, the next miss starts from an empty table
+    assert special._moment_recurrence(6, 4) == special._moment_closed(6, 4)
+    assert len(special._recurrence_cache) == 35  # k = 0..6, p = 0..4
+    special._moment_recurrence(2, 2)  # a hit leaves the table alone
+    assert len(special._recurrence_cache) == 35
 
 
 def test_moment_integral_low_power_values():
