@@ -50,22 +50,14 @@ __all__ = [
     "L2Sample",
     "LinearCombo",
     "Distribution",
-    "UnsupportedActionError",
     "zero_distribution",
-    "is_zero_distribution",
     "parity",
     "point_branches",
     "coeff",
     "coeff_sequence",
     "coeff_exact",
     "CoeffSequence",
-    "derivative",
-    "multiply_by_x",
 ]
-
-
-class UnsupportedActionError(ValueError):
-    """An operation has no closed weak form for this variant."""
 
 
 def _as_rational(value) -> Fraction:
@@ -200,10 +192,6 @@ _VARIANTS = get_args(Distribution)
 
 def zero_distribution() -> LinearCombo:
     return LinearCombo(())
-
-
-def is_zero_distribution(d) -> bool:
-    return isinstance(d, LinearCombo) and not d.parts
 
 
 # -- point branches ------------------------------------------------------------
@@ -401,102 +389,3 @@ def coeff_exact(d: Distribution, n: int) -> Optional[SqrtTerm]:
         phase = (-1) ** ((n - d.degree) // 2 % 2)  # i**(n - p) wherever n - p is even
         return derivative_at_zero_via_moments(n, d.degree) * SqrtTerm(Fraction(phase), 2, 2)
     return None
-
-
-# -- weak operations ----------------------------------------------------------
-
-
-def _mul_scalars(a, b):
-    """Product of combo scalars, staying exact when both sides are exact."""
-    exact_kinds = (int, Fraction, SqrtTerm)
-    if isinstance(a, exact_kinds) and isinstance(b, exact_kinds):
-        if isinstance(a, SqrtTerm) or isinstance(b, SqrtTerm):
-            a = a if isinstance(a, SqrtTerm) else SqrtTerm(Fraction(a))
-            return a * b
-        return a * b
-    with working(max(DEFAULT_DPS, mp.dps)):
-        av = a.to_mpf(mp.dps) if isinstance(a, SqrtTerm) else to_mpc(a, mp.dps)
-        bv = b.to_mpf(mp.dps) if isinstance(b, SqrtTerm) else to_mpc(b, mp.dps)
-        return av * bv
-
-
-def _scaled(scalar, d: Distribution) -> Distribution:
-    if scalar == 0:
-        return zero_distribution()
-    if scalar == 1:
-        return d
-    if isinstance(d, LinearCombo):
-        return LinearCombo(tuple((_mul_scalars(scalar, s), p) for s, p in d.parts))
-    return LinearCombo(((scalar, d),))
-
-
-def derivative(d: Distribution) -> Distribution:
-    """d/dx in the weak sense; L2 callables have no closed form here."""
-    if isinstance(d, DeltaDeriv):
-        return DeltaDeriv(d.order + 1)
-    if isinstance(d, Monomial):
-        if d.degree == 0:
-            return zero_distribution()
-        return _scaled(d.degree, Monomial(d.degree - 1))
-    if isinstance(d, NormalizedMonomial):
-        # d/dx x**n/sqrt(n!) = sqrt(n) * x**(n-1)/sqrt((n-1)!)
-        if d.index == 0:
-            return zero_distribution()
-        return _scaled(
-            SqrtTerm(Fraction(1), Fraction(d.index)), NormalizedMonomial(d.index - 1)
-        )
-    if isinstance(d, NormalizedDeltaDeriv):
-        return _scaled(
-            SqrtTerm(Fraction(-1), Fraction(d.index + 1)),
-            NormalizedDeltaDeriv(d.index + 1),
-        )
-    if isinstance(d, ExpReal):
-        return _scaled(d.rate, ExpReal(d.rate)) if d.rate != 0 else zero_distribution()
-    if isinstance(d, CosWave):
-        return _scaled(-d.freq, SinWave(d.freq)) if d.freq != 0 else zero_distribution()
-    if isinstance(d, SinWave):
-        return _scaled(d.freq, CosWave(d.freq)) if d.freq != 0 else zero_distribution()
-    if isinstance(d, LinearCombo):
-        parts = []
-        for s, p in d.parts:
-            dp = derivative(p)
-            if is_zero_distribution(dp):
-                continue
-            if isinstance(dp, LinearCombo):
-                parts.extend((_mul_scalars(s, s2), p2) for s2, p2 in dp.parts)
-            else:
-                parts.append((s, dp))
-        return LinearCombo(tuple(parts))
-    raise UnsupportedActionError(f"no weak derivative rule for {type(d).__name__}")
-
-
-def multiply_by_x(d: Distribution) -> Distribution:
-    """Multiplication by x in the weak sense."""
-    if isinstance(d, DeltaDeriv):
-        if d.order == 0:
-            return zero_distribution()
-        return _scaled(-d.order, DeltaDeriv(d.order - 1))
-    if isinstance(d, Monomial):
-        return Monomial(d.degree + 1)
-    if isinstance(d, NormalizedMonomial):
-        return _scaled(
-            SqrtTerm(Fraction(1), Fraction(d.index + 1)), NormalizedMonomial(d.index + 1)
-        )
-    if isinstance(d, NormalizedDeltaDeriv):
-        if d.index == 0:
-            return zero_distribution()
-        return _scaled(
-            SqrtTerm(Fraction(1), Fraction(d.index)), NormalizedDeltaDeriv(d.index - 1)
-        )
-    if isinstance(d, LinearCombo):
-        parts = []
-        for s, p in d.parts:
-            xp = multiply_by_x(p)
-            if is_zero_distribution(xp):
-                continue
-            if isinstance(xp, LinearCombo):
-                parts.extend((_mul_scalars(s, s2), p2) for s2, p2 in xp.parts)
-            else:
-                parts.append((s, xp))
-        return LinearCombo(tuple(parts))
-    raise UnsupportedActionError(f"no multiplication-by-x rule for {type(d).__name__}")

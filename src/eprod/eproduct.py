@@ -173,7 +173,6 @@ class TermSource:
         *,
         stride: int = 1,
         offset: int = 0,
-        structural_zero: bool = False,
         support: Optional[int] = None,
         abel_eval: Optional[Callable] = None,
         dps: Optional[int] = None,
@@ -182,7 +181,6 @@ class TermSource:
         self._fetch = fetch
         self.stride = stride
         self.offset = offset
-        self.structural_zero = structural_zero
         self.support = support
         self.abel_eval = abel_eval
         self.dps = dps
@@ -372,10 +370,6 @@ def _cross_check_level(source: TermSource, r, closed_value):
 def classify_series(source: TermSource, cfg: SummationConfig, dps: int) -> EProductResult:
     """Run the classification pipeline over one term stream."""
     diag = Diagnostics(low_confidence=source.low_confidence)
-    if source.structural_zero:
-        diag.message = "every term vanishes by parity"
-        return EProductResult(ZERO_BY_PARITY, mpc(0), 0, diag)
-
     with working(source.dps or dps):
         tol = mpf(cfg.tolerance)
         cap = mpf(cfg.partial_sum_cap)

@@ -8,8 +8,12 @@ word is a tuple of letters acting on basis-coefficient sequences:
     x      (c + cdag)/sqrt(2)                   (position)
     d      (c - cdag)/sqrt(2)                   (derivative)
 
-Words compose left to right, i.e. ("x", "d") means x applied after d.  The
-pairing adjoint (written ``ddagger``) satisfies
+Words compose left to right, i.e. ("x", "d") means x applied after d.
+``apply_operator`` applies these four lines one letter at a time, the
+rightmost first, each letter a memoised sequence over the one before; on
+point branches the letters act on the argument side instead
+(``branches.word_branches``).  The pairing adjoint (written ``ddagger``)
+satisfies
 
     <X‡ F, G> = <F, X G>
 
@@ -29,7 +33,7 @@ from mpmath import mp, mpc, mpf
 from .branches import branch_stream, kernel_eval, sqrt_table, word_branches
 from .distributions import CoeffSequence, Distribution, coeff_sequence
 from .eproduct import EProductResult, SummationConfig, TermSource, classify_series
-from .precision import DEFAULT_DPS, working
+from .precision import DEFAULT_DPS, to_mpc, working
 
 __all__ = [
     "OperatorExpr",
@@ -46,10 +50,6 @@ LETTERS = ("c", "cdag", "x", "d")
 
 _SWAP = {"c": "cdag", "cdag": "c", "x": "x", "d": "d"}
 _FLIP_SIGN = {"c": 1, "cdag": 1, "x": 1, "d": -1}
-# each letter is (lowering part) + (raising part), up to 1/sqrt(2) for x, d;
-# the sign each part carries, 0 where the letter has no such part
-_LOWER_SIGN = {"c": 1, "cdag": 0, "x": 1, "d": 1}
-_RAISE_SIGN = {"c": 0, "cdag": 1, "x": 1, "d": -1}
 
 # longest word an operator expression may hold, so that input bounds the
 # cost of applying it
@@ -139,87 +139,70 @@ class OperatorExpr:
         return OperatorExpr(tuple(out))
 
 
-def _peel(weights: dict, letter: str, n: int) -> dict:
-    """Normal-ordered weights {e: I_e} after one more letter, at index n.
+def _letters(
+    expr: OperatorExpr, seq: Callable[[int], object], dps: int, magnitude: bool = False
+) -> Callable[[int], object]:
+    """n -> (X s)_n, memoised, each word's letters applied right to left.
 
-    Peeling a word's letters left to right, every step between indices
-    k - 1 and k contributes sqrt(k).  A step that moves away from n extends
-    the span between n and n + e; a step back toward n closes a pair of
-    crossings of the same edge into the integer k.  So
-
-        (word s)_n = 2**(-h/2) * sum_e I_e * sqrt(R(n, e)) * s_{n+e}
-
-    with integer I_e (starting from {0: 1}), h the number of x and d
-    letters, and R(n, e) the product of the integers in
-    (min(n, n+e), max(n, n+e)].  A raising step from index 0 vanishes,
-    which is the boundary of cdag.
+    Every letter is a memoised sequence over the one it acts on, built from
+    the four lines of the module docstring, with the 1/sqrt(2) of x and d
+    folded into the word's scalar.  A word of L letters read through index
+    N reads its k-th intermediate stream through N + L - k, so it costs
+    O(L (N + L)) products and reads each entry of ``seq`` once.  With
+    ``magnitude`` the same letters act on |s| with |scalar|, x and d both
+    adding their two parts: at each index, the mass of the entries whose
+    rounding the sum carries.
     """
-    lower = _LOWER_SIGN[letter]
-    raise_ = _RAISE_SIGN[letter]
-    nxt: dict = {}
-    for e, w in weights.items():
-        m = n + e
-        if lower:
-            nxt[e + 1] = nxt.get(e + 1, 0) + (w if e >= 0 else w * (m + 1))
-        if raise_ and m:
-            v = w if e <= 0 else w * m
-            nxt[e - 1] = nxt.get(e - 1, 0) + raise_ * v
-    return nxt
+    roots: list = []  # roots[m] = sqrt(m), shared through sqrt_table
+    read: dict = {}
 
+    def source(m: int):
+        if m not in read:
+            read[m] = abs(seq(m)) if magnitude else seq(m)
+        return read[m]
 
-def _word_terms(
-    expr: OperatorExpr, seq: Callable[[int], object], dps: int
-) -> Callable[[int], list]:
-    """n -> the terms coeff_e * s_{n+e} that (X s)_n sums, in summation order.
+    def letter_stream(letter: str, prev: Callable) -> Callable:
+        memo: dict = {}
+        flip = letter == "d" and not magnitude
 
-    Each index is normal-ordered (``_peel``), so a word of L letters costs
-    O(L**2) integer products per index and reads ``seq`` at most L + 1
-    times.  The integer weights of words with the same scalar and the same
-    number h of x and d letters are summed exactly, before one
-    multiprecision product per offset.  sqrt(m) comes from the table that
-    ``branches.sqrt_table`` shares per precision.
-    """
-    plan = []  # (word, group); group = (scalar, h)
-    scales: dict = {}  # group -> scalar * 2**(-h/2)
+        def value(m: int):
+            if m not in memo:
+                total = roots[m + 1] * prev(m + 1) if letter != "cdag" else mpf(0)
+                if letter != "c" and m:  # cdag vanishes at index 0
+                    down = roots[m] * prev(m - 1)
+                    total = total - down if flip else total + down
+                memo[m] = total
+            return memo[m]
+
+        return value
+
+    words = []  # (scalar * 2**(-h/2), the word's last stream)
     with working(dps):
         for scalar, word in expr.terms:
-            group = (scalar, sum(1 for letter in word if letter in ("x", "d")))
-            if group not in scales:
-                scales[group] = scalar * mpf(2) ** (-mpf(group[1]) / 2)
-            plan.append((word, group))
-    reach = max((len(word) for word, _ in plan), default=0)  # largest |e|
-    roots: list = []  # roots[m] = sqrt(m), shared through sqrt_table
+            h = sum(1 for letter in word if letter in ("x", "d"))
+            scale = to_mpc(scalar, dps) * mpf(2) ** (-mpf(h) / 2)
+            stream = source
+            for letter in reversed(word):
+                stream = letter_stream(letter, stream)
+            words.append((abs(scale) if magnitude else scale, stream))
+    reach = max((len(word) for _, word in expr.terms), default=0)
+    totals: dict = {}
 
-    def terms(n: int) -> list:
+    def out(n: int):
         nonlocal roots
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
-        sums: dict = {}  # group -> {e: summed I_e}
-        for word, group in plan:
-            weights = {0: 1}
-            for letter in word:
-                weights = _peel(weights, letter, n)
-            acc = sums.setdefault(group, {})
-            for e, w in weights.items():
-                acc[e] = acc.get(e, 0) + w
-        with working(dps):
-            if len(roots) <= n + reach:
-                roots = sqrt_table(n + reach)
-            coeffs: dict = {}
-            for group, acc in sums.items():
-                scale = scales[group]
-                for e, w in acc.items():
-                    if w:
-                        term = scale if w == 1 else scale * w
-                        coeffs[e] = coeffs.get(e, 0) + term
-            out = []
-            for e, coeff in coeffs.items():
-                for k in range(min(n, n + e) + 1, max(n, n + e) + 1):
-                    coeff = coeff * roots[k]  # sqrt(R(n, e))
-                out.append(coeff * seq(n + e))
-            return out
+        if n not in totals:
+            with working(dps):
+                if len(roots) <= n + reach:
+                    roots = sqrt_table(n + reach)
+                total = mpf(0)
+                for scale, stream in words:
+                    total += scale * stream(n)
+                totals[n] = total
+        return totals[n]
 
-    return terms
+    return out
 
 
 def apply_operator(
@@ -227,24 +210,11 @@ def apply_operator(
 ) -> Callable[[int], object]:
     """The sequence n -> (X s)_n, memoized; ``seq`` maps index to coefficient.
 
-    Each entry sums the normal-ordered terms of ``_word_terms``: a word of L
-    letters costs O(L**2) integer products per index and reads ``seq`` at
-    most L + 1 times.
+    The letters act one at a time on memoised intermediate streams, so a
+    word of L letters read through index N costs O(L (N + L)) products and
+    reads each entry of ``seq`` once.
     """
-    terms = _word_terms(expr, seq, dps)
-    memo: dict[int, object] = {}
-
-    def out(n: int):
-        if n not in memo:
-            parts = terms(n)
-            with working(dps):
-                total = mpf(0)
-                for part in parts:
-                    total += part
-            memo[n] = total
-        return memo[n]
-
-    return out
+    return _letters(expr, seq, dps)
 
 
 class InconclusivePairingError(RuntimeError):
@@ -267,11 +237,11 @@ def _word_stream(expr: OperatorExpr, seq: CoeffSequence, dps: int, probe: int):
     When every branch point of s is 0 (delta^(k), psi, x^p, phi and their
     combinations) the stream comes from the word's branch list, which
     computes only the entries that can be nonzero.  It is checked against
-    ``apply_operator``'s terms over the first ``probe`` indices, so the
-    letters' sequence-side definition still guards their argument-side
-    transfer; the two may differ by 10**(10 - dps) of the larger of the
-    terms' absolute sum at that index and the window's largest entry.  Any
-    other s streams through ``apply_operator``.
+    ``apply_operator`` over the first ``probe`` indices, so the letters'
+    sequence-side definition still guards their argument-side transfer; the
+    two may differ by 10**(10 - dps) of the larger of the letters' mass at
+    that index (the same letters on |s|, see ``_letters``) and the window's
+    largest entry.  Any other s streams through ``apply_operator``.
     """
     if seq.branches is None:
         return apply_operator(expr, seq, dps), None
@@ -279,19 +249,14 @@ def _word_stream(expr: OperatorExpr, seq: CoeffSequence, dps: int, probe: int):
     if any(x0 != 0 for _, _, x0, _ in seq.branches):
         return apply_operator(expr, seq, dps), branches
     stream = CoeffSequence(*branch_stream(branches, dps), None, dps, branches=branches)
-    terms = _word_terms(expr, seq, dps)
+    direct = _letters(expr, seq, dps)
+    mass = _letters(expr, seq, dps, magnitude=True)
     with working(dps):
-        # apply_operator's rounding grows with the mass of the terms it sums
-        # (x^32 on delta cancels to exactly 0 from terms near 1e31); the
-        # branch stream's with the entries its recurrences carry, bounded by
-        # the largest entry of the window
-        rows = []  # (n, entry, direct, mass)
-        for n in range(probe):
-            direct = mass = mpf(0)
-            for part in terms(n):
-                direct += part
-                mass += abs(part)
-            rows.append((n, stream(n), direct, mass))
+        # apply_operator's rounding grows with the mass of the entries its
+        # letters combine (x^32 on delta cancels to exactly 0 from entries
+        # near 1e31); the branch stream's with the entries its recurrences
+        # carry, bounded by the largest entry of the window
+        rows = [(n, stream(n), direct(n), mass(n)) for n in range(probe)]
         scale = max((abs(direct) for _, _, direct, _ in rows), default=0)
         for n, entry, direct, mass in rows:
             if abs(entry - direct) > mpf(10) ** (10 - dps) * max(mass, scale):
@@ -316,9 +281,9 @@ def adjoint_check(
     conj(f_n) (X g)_n, and the word's stream is read only where the other
     slot's coefficient is nonzero.  A slot whose branch points all sit at 0
     streams its word from the word's branch list, checked against
-    ``apply_operator``'s terms over the first ``probe`` indices (a mismatch
-    raises RuntimeError); any other slot runs ``apply_operator``, normal-ordered at
-    each index, over its coefficient sequence.  When both distributions
+    ``apply_operator`` over the first ``probe`` indices (a mismatch raises
+    RuntimeError); any other slot runs ``apply_operator``, letter by letter,
+    over its coefficient sequence.  When both distributions
     admit point branches the Abel levels also get a closed form: the ladder
     letters transfer to the argument side of the eigenfunctions, so
     operator-applied pairs keep the kernel route (and its direct-summation

@@ -1,4 +1,4 @@
-"""Distribution variants: coefficients, parity, support, weak operations.
+"""Distribution variants: coefficients, parity, support, ladder transfer.
 
 Frozen coefficient values come from mpmath.quad of the pointwise pairings,
 computed independently of the package's recurrences.
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from eprod import distributions
+from eprod.branches import branch_stream, word_branches
 from eprod.distributions import (
     CosWave,
     DeltaDeriv,
@@ -22,13 +23,9 @@ from eprod.distributions import (
     NormalizedDeltaDeriv,
     NormalizedMonomial,
     SinWave,
-    UnsupportedActionError,
     coeff,
     coeff_exact,
     coeff_sequence,
-    derivative,
-    is_zero_distribution,
-    multiply_by_x,
     parity,
     zero_distribution,
 )
@@ -211,7 +208,7 @@ def test_l2_sample_fn_projection():
 
 def test_zero_distribution():
     z = zero_distribution()
-    assert is_zero_distribution(z)
+    assert z.parts == ()
     with mp.workdps(30):
         assert coeff(z, 5, 30) == 0
 
@@ -257,35 +254,22 @@ def test_coeff_sequence_memoizes():
     assert len(calls) == count
 
 
-def test_derivative_rules():
-    assert derivative(DeltaDeriv(1)) == DeltaDeriv(2)
-    assert derivative(Monomial(3)) == LinearCombo(((3, Monomial(2)),))
-    assert derivative(Monomial(0)) == zero_distribution()
-    assert derivative(ExpReal(1)) == ExpReal(1)
-    assert derivative(CosWave(2)) == LinearCombo(((Fraction(-2), SinWave(2)),))
-    assert derivative(SinWave(2)) == LinearCombo(((Fraction(2), CosWave(2)),))
-
-
-def test_multiply_by_x_rules():
-    assert multiply_by_x(Monomial(2)) == Monomial(3)
-    assert multiply_by_x(DeltaDeriv(0)) == zero_distribution()
-    assert multiply_by_x(DeltaDeriv(2)) == LinearCombo(((-2, DeltaDeriv(1)),))
-    with pytest.raises(UnsupportedActionError):
-        multiply_by_x(ExpReal(1))
-    with pytest.raises(UnsupportedActionError):
-        multiply_by_x(CosWave(1))
-
-
 def test_weak_derivative_shifts_coefficients():
-    # <e_n, F'> = sqrt((n+1)/2) <e_{n+1}, F> - sqrt(n/2) <e_{n-1}, F>
-    with mp.workdps(40):
-        for dist in (ExpReal(1), DeltaDeriv(1), Monomial(2)):
-            dseq = coeff_sequence(derivative(dist), 40)
-            seq = coeff_sequence(dist, 40)
-            for n in range(6):
-                lower = mp.sqrt(mpf(n) / 2) * seq(n - 1) if n else mpf(0)
-                want = mp.sqrt(mpf(n + 1) / 2) * seq(n + 1) - lower
-                assert abs(dseq(n) - want) < mpf("1e-34") * max(1, abs(want))
+    # the argument-side transfer of d and x (branches.ladder_branches), at
+    # points off 0 too, against the letter definitions
+    # (d s)_n, (x s)_n = (sqrt(n+1) s_{n+1} -/+ sqrt(n) s_{n-1}) / sqrt(2)
+    dists = (ExpReal(1), CosWave(2), SinWave(Fraction(1, 3)), DeltaDeriv(1), Monomial(2))
+    for dist in dists:
+        seq = coeff_sequence(dist, 40)
+        for letter, sign in (("d", -1), ("x", 1)):
+            extend, _ = branch_stream(word_branches(((1, (letter,)),), seq.branches, 40), 40)
+            got: list = []
+            with mp.workdps(50):
+                extend(got, 39)
+                for n in range(40):
+                    lower = mp.sqrt(n) * seq(n - 1) if n else 0
+                    want = (mp.sqrt(n + 1) * seq(n + 1) + sign * lower) / mp.sqrt(2)
+                    assert abs(got[n] - want) <= mpf("1e-36") * max(1, abs(want))
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=25))

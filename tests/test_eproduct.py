@@ -252,14 +252,6 @@ def test_finite_support_truncates_exactly():
     assert res.diagnostics.message.startswith("finite support")
 
 
-def test_structural_zero_short_circuits():
-    src = TermSource(lambda j: mpf(0), structural_zero=True)
-    res = classify_series(src, _CFG, 40)
-    assert res.status == ZERO_BY_PARITY
-    assert res.value == 0
-    assert res.n_terms == 0
-
-
 def test_geometric_tail_is_absolutely_convergent():
     src = TermSource(lambda j: mpf(3) ** -j)
     res = classify_series(src, _CFG, 40)

@@ -1,4 +1,4 @@
-"""Package hygiene: no module imports another module's private names."""
+"""Package hygiene: no private cross-module imports, no unused private names."""
 
 import ast
 import pathlib
@@ -24,3 +24,39 @@ def test_no_private_cross_module_imports():
     assert paths, f"no modules under {SRC}"
     found = [hit for path in paths for hit in _private_imports(path)]
     assert not found, "private names imported across modules:\n" + "\n".join(found)
+
+
+def _private_definitions(tree: ast.Module):
+    """Top-level private functions, classes and constants of one module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+def _references(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_unreferenced_private_names():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    orphans = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in used
+    ]
+    assert not orphans, "private names defined but never used:\n" + "\n".join(orphans)
