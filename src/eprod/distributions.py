@@ -18,8 +18,12 @@ Every variant but L2Sample is a point variant: its coefficients are a finite
 combination of i**(s n) e_n^(j)(x0), described once by ``point_branches``.
 Its stream runs the differentiated recurrence of the e_n on that branch list
 (``branches.branch_stream``), and its parity is read off the same list.
-Streams are memoized per distribution and extend incrementally, so random
-access to coefficient n costs O(n) once and O(1) after.
+Streams are memoized per distribution and extend incrementally, in blocks
+of 64, so random access to coefficient n costs O(n) recurrence steps once
+and O(1) after.  A step costs a few products of integers of the working
+precision plus 32 bits per derivative column, and each entry is kept once,
+as integers over one binary exponent (``pair_terms`` multiplies two such
+entries exactly).
 """
 
 from __future__ import annotations
@@ -36,7 +40,15 @@ from . import quadrature
 from .branches import I_POWERS, branch_stream
 from .exact import SqrtTerm
 from .hermite import derivative_at_zero_via_moments
-from .precision import DEFAULT_DPS, to_mpc, to_mpf, working
+from .precision import (
+    DEFAULT_DPS,
+    from_integer_form,
+    integer_form,
+    to_mpc,
+    to_mpf,
+    working,
+    working_prec,
+)
 
 __all__ = [
     "MAX_ORDER",
@@ -57,6 +69,7 @@ __all__ = [
     "coeff_sequence",
     "coeff_exact",
     "CoeffSequence",
+    "pair_terms",
 ]
 
 
@@ -243,17 +256,24 @@ def point_branches(d: Distribution, dps: int):
 # -- coefficient streams -------------------------------------------------------
 
 
+# a stream's memo grows by whole blocks of this many entries
+_BLOCK = 64
+
+
 @dataclass(eq=False)
 class CoeffSequence:
     """Memoized random-access view of the coefficients of one distribution.
 
-    ``extend(values, target)`` grows the memo past index target.
-    ``parity`` (when not None) is the index parity outside which every
-    coefficient is 0, and ``support`` (when not None) the index from which
-    every coefficient is 0.  ``low_confidence`` marks a stream with a
-    projected callable whose coefficients had not settled at the largest
-    rule.  ``branches`` is the point-branch list the stream was built from,
-    None when it holds an ``L2Sample``.
+    ``extend(values, target)`` grows the memo past index target.  The memo
+    holds each coefficient once, as the integer form (re, im, exp) of
+    ``precision.integer_form``, and grows by whole blocks; a call rounds the
+    entry to an mpc at the working precision of ``dps``.  ``parity`` (when
+    not None) is the index parity outside which every coefficient is 0, and
+    ``support`` (when not None) the index from which every coefficient is 0.
+    ``low_confidence`` marks a stream with a projected callable whose
+    coefficients had not settled at the largest rule.  ``branches`` is the
+    point-branch list the stream was built from, None when it holds an
+    ``L2Sample``.
     """
 
     _extend: Callable
@@ -271,14 +291,40 @@ class CoeffSequence:
             return mpc(0)
         if n >= len(self._values):
             with working(self.dps):
-                self._extend(self._values, n)
-        return self._values[n]
+                self._extend(self._values, n | (_BLOCK - 1))
+        return from_integer_form(self._values[n], working_prec(self.dps))
+
+
+def pair_terms(f: CoeffSequence, g: CoeffSequence, dps: int, stride: int = 1, offset: int = 0):
+    """j -> conj(f_n) g_n at n = offset + stride j, as an mpc.
+
+    The product is formed exactly from the two memos' integer forms and
+    rounded once, to the working precision of ``dps``, without entering a
+    precision context; the streams extend through their calls.
+    """
+    stop = min((s.support for s in (f, g) if s.support is not None), default=None)
+    f_values, g_values = f._values, g._values
+    prec = working_prec(dps)
+
+    def term(j: int) -> mpc:
+        n = offset + stride * j
+        if stop is not None and n >= stop:
+            return mpc(0)
+        if n >= len(f_values):
+            f(n)
+        if n >= len(g_values):
+            g(n)
+        fr, fi, fe = f_values[n]
+        gr, gi, ge = g_values[n]
+        return from_integer_form((fr * gr + fi * gi, fr * gi - fi * gr, fe + ge), prec)
+
+    return term
 
 
 def _vector_extend(coeffs, dps: int):
     # the stream's support stops every request inside the vector
     def extend(values, target):
-        values += [to_mpc(c, dps) for c in coeffs[len(values) : target + 1]]
+        values += [integer_form(to_mpc(c, dps)) for c in coeffs[len(values) : target + 1]]
 
     return extend
 
@@ -286,7 +332,7 @@ def _vector_extend(coeffs, dps: int):
 def _combo_extend(inner):
     def extend(values, target):
         for n in range(len(values), target + 1):
-            values.append(sum((s * seq(n) for s, seq in inner), mpc(0)))
+            values.append(integer_form(sum((s * seq(n) for s, seq in inner), mpc(0))))
 
     return extend
 

@@ -48,6 +48,7 @@ from .distributions import (
     NormalizedMonomial,
     coeff_exact,
     coeff_sequence,
+    pair_terms,
 )
 from .exact import ExactTerm, SqrtTerm
 from .extrapolate import richardson_dyadic, wynn_epsilon
@@ -624,13 +625,8 @@ def classify_and_sum(
     if support is None and seq_f.branches is not None and seq_g.branches is not None:
         abel_eval = kernel_eval(seq_f.branches, seq_g.branches, dps)
 
-    def fetch(j: int):
-        n = offset + stride * j
-        with working(dps):
-            return mp.conj(seq_f(n)) * seq_g(n)
-
     source = TermSource(
-        fetch,
+        pair_terms(seq_f, seq_g, dps, stride, offset),
         stride=stride,
         offset=offset,
         support=support,
@@ -642,13 +638,12 @@ def classify_and_sum(
 
 def partial_sums(F: Distribution, G: Distribution, k_max: int, dps: int = DEFAULT_DPS):
     """Numeric partial sums S_K, K = 0..k_max, of the pairing series."""
-    seq_f = coeff_sequence(F, dps)
-    seq_g = coeff_sequence(G, dps)
+    term = pair_terms(coeff_sequence(F, dps), coeff_sequence(G, dps), dps)
     with working(dps):
         out = []
         total = mpc(0)
         for n in range(k_max + 1):
-            total += mp.conj(seq_f(n)) * seq_g(n)
+            total += term(n)
             out.append(total)
         return out
 

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 from mpmath import mp, mpc, mpf
 
 from .branches import branch_stream, kernel_eval, sqrt_table, word_branches
-from .distributions import CoeffSequence, Distribution, coeff_sequence
+from .distributions import CoeffSequence, Distribution, coeff_sequence, pair_terms
 from .eproduct import EProductResult, SummationConfig, TermSource, classify_series
 from .precision import DEFAULT_DPS, to_mpc, working
 
@@ -148,7 +148,10 @@ def _letters(
     the four lines of the module docstring, with the 1/sqrt(2) of x and d
     folded into the word's scalar.  A word of L letters read through index
     N reads its k-th intermediate stream through N + L - k, so it costs
-    O(L (N + L)) products and reads each entry of ``seq`` once.  With
+    O(L (N + L)) products and reads each entry of ``seq`` once.  In-order
+    reads come back to an intermediate entry at most two indices below the
+    largest one computed, so each letter keeps only those three and the
+    entries an out-of-order read recomputed from the letter below.  With
     ``magnitude`` the same letters act on |s| with |scalar|, x and d both
     adding their two parts: at each index, the mass of the entries whose
     rounding the sum carries.
@@ -163,15 +166,21 @@ def _letters(
 
     def letter_stream(letter: str, prev: Callable) -> Callable:
         memo: dict = {}
+        top = -1  # the largest index computed so far
         flip = letter == "d" and not magnitude
 
         def value(m: int):
+            nonlocal top
             if m not in memo:
                 total = roots[m + 1] * prev(m + 1) if letter != "cdag" else mpf(0)
                 if letter != "c" and m:  # cdag vanishes at index 0
                     down = roots[m] * prev(m - 1)
                     total = total - down if flip else total + down
                 memo[m] = total
+                if m > top:  # in-order reads come back for m - 2 at most
+                    for k in range(max(top - 2, 0), m - 2):
+                        memo.pop(k, None)
+                    top = m
             return memo[m]
 
         return value
@@ -267,6 +276,27 @@ def _word_stream(expr: OperatorExpr, seq: CoeffSequence, dps: int, probe: int):
     return stream, branches
 
 
+def _side_terms(word, other: CoeffSequence, dps: int, word_left: bool):
+    """n -> the term of one side of the adjoint identity, conj(word_n)
+    other_n or conj(other_n) word_n.
+
+    A word that streams from its branch list pairs with the other slot
+    through ``pair_terms``.  Any other word is read only where the other
+    slot is nonzero, at the working precision of the caller, which
+    classifies and sums the side under ``working(dps)``.
+    """
+    if isinstance(word, CoeffSequence):
+        return pair_terms(word, other, dps) if word_left else pair_terms(other, word, dps)
+
+    def fetch(n: int):
+        side = other(n)
+        if side == 0:
+            return mpc(0)
+        return mp.conj(word(n)) * side if word_left else mp.conj(side) * word(n)
+
+    return fetch
+
+
 def adjoint_check(
     expr: OperatorExpr,
     big: Distribution,
@@ -278,12 +308,13 @@ def adjoint_check(
     """Compare <X‡ F, G> against <F, X G> through the full pipeline.
 
     Each side is its own term stream, conj((X‡ f)_n) g_n and
-    conj(f_n) (X g)_n, and the word's stream is read only where the other
-    slot's coefficient is nonzero.  A slot whose branch points all sit at 0
-    streams its word from the word's branch list, checked against
-    ``apply_operator`` over the first ``probe`` indices (a mismatch raises
-    RuntimeError); any other slot runs ``apply_operator``, letter by letter,
-    over its coefficient sequence.  When both distributions
+    conj(f_n) (X g)_n.  A slot whose branch points all sit at 0 streams its
+    word from the word's branch list, checked against ``apply_operator``
+    over the first ``probe`` indices (a mismatch raises RuntimeError), and
+    its terms are formed from the two streams' integer forms
+    (``pair_terms``); any other slot runs ``apply_operator``, letter by
+    letter, over its coefficient sequence, read only where the other slot's
+    coefficient is nonzero.  When both distributions
     admit point branches the Abel levels also get a closed form: the ladder
     letters transfer to the argument side of the eigenfunctions, so
     operator-applied pairs keep the kernel route (and its direct-summation
@@ -305,23 +336,13 @@ def adjoint_check(
         left_eval = kernel_eval(left_branches, g.branches, dps)
         right_eval = kernel_eval(f.branches, right_branches, dps)
 
-    def left_fetch(n: int):
-        gn = g(n)
-        if gn == 0:
-            return mpc(0)
-        with working(dps):
-            return mp.conj(left_seq(n)) * gn
-
-    def right_fetch(n: int):
-        fn = f(n)
-        if fn == 0:
-            return mpc(0)
-        with working(dps):
-            return mp.conj(fn) * right_seq(n)
-
     unsettled = f.low_confidence or g.low_confidence
-    lsrc = TermSource(left_fetch, abel_eval=left_eval, low_confidence=unsettled)
-    rsrc = TermSource(right_fetch, abel_eval=right_eval, low_confidence=unsettled)
+    lsrc = TermSource(
+        _side_terms(left_seq, g, dps, word_left=True), abel_eval=left_eval, low_confidence=unsettled
+    )
+    rsrc = TermSource(
+        _side_terms(right_seq, f, dps, word_left=False), abel_eval=right_eval, low_confidence=unsettled
+    )
     left = classify_series(lsrc, cfg, dps)
     right = classify_series(rsrc, cfg, dps)
     if not (left.has_value and right.has_value):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 DEFAULT_DPS = 60
 MIN_DPS = 30
@@ -55,3 +56,30 @@ def to_mpc(value, dps: int = DEFAULT_DPS) -> mpc:
         if hasattr(value, "to_mpf"):
             return mpc(value.to_mpf(dps))
         return mpc(value)
+
+
+def working_prec(dps: int) -> int:
+    """The binary precision ``working(dps)`` sets."""
+    return dps_to_prec(dps + GUARD_DPS)
+
+
+def integer_form(value) -> tuple[int, int, int]:
+    """A real or complex mpf/mpc value as (re, im, exp), exactly:
+    value = (re + i im) * 2**exp."""
+    re_sign, re, re_exp, _ = mpf(value.real)._mpf_
+    im_sign, im, im_exp, _ = mpf(value.imag)._mpf_
+    if not re:
+        re_exp = im_exp
+    if not im:
+        im_exp = re_exp
+    exp = min(re_exp, im_exp)
+    re, im = (-re if re_sign else re), (-im if im_sign else im)
+    return re << (re_exp - exp), im << (im_exp - exp), exp
+
+
+def from_integer_form(entry: tuple[int, int, int], prec: int) -> mpc:
+    """(re + i im) * 2**exp rounded to ``prec`` bits."""
+    re, im, exp = entry
+    return mp.make_mpc(
+        (from_man_exp(re, exp, prec, round_nearest), from_man_exp(im, exp, prec, round_nearest))
+    )

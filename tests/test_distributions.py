@@ -14,6 +14,7 @@ from mpmath import mp, mpc, mpf
 from eprod import distributions
 from eprod.branches import branch_stream, word_branches
 from eprod.distributions import (
+    CoeffSequence,
     CosWave,
     DeltaDeriv,
     ExpReal,
@@ -262,14 +263,13 @@ def test_weak_derivative_shifts_coefficients():
     for dist in dists:
         seq = coeff_sequence(dist, 40)
         for letter, sign in (("d", -1), ("x", 1)):
-            extend, _ = branch_stream(word_branches(((1, (letter,)),), seq.branches, 40), 40)
-            got: list = []
+            word = word_branches(((1, (letter,)),), seq.branches, 40)
+            got = CoeffSequence(*branch_stream(word, 40), None, 40)
             with mp.workdps(50):
-                extend(got, 39)
                 for n in range(40):
                     lower = mp.sqrt(n) * seq(n - 1) if n else 0
                     want = (mp.sqrt(n + 1) * seq(n + 1) + sign * lower) / mp.sqrt(2)
-                    assert abs(got[n] - want) <= mpf("1e-36") * max(1, abs(want))
+                    assert abs(got(n) - want) <= mpf("1e-36") * max(1, abs(want))
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=25))

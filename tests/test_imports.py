@@ -1,7 +1,11 @@
-"""Package hygiene: no private cross-module imports, no unused private names."""
+"""Package hygiene: no private cross-module imports, no unused private names,
+and nothing built at import time."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "eprod"
 
@@ -60,3 +64,22 @@ def test_no_unreferenced_private_names():
         if name not in used
     ]
     assert not orphans, "private names defined but never used:\n" + "\n".join(orphans)
+
+
+def test_import_builds_no_tables():
+    # tables and caches fill on first use; import time stays the start-up cost
+    code = (
+        "import eprod\n"
+        "from eprod import branches, distributions, quadrature\n"
+        "print(len(branches._ladder_tables), len(distributions._sequence_cache),"
+        " quadrature.gauss_hermite_rule.cache_info().currsize)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["0", "0", "0"]

@@ -362,6 +362,24 @@ def test_adjoint_check_reads_words_only_where_the_other_slot_is_nonzero(
     assert len(calls) <= cfg.max_terms // 2 + probe + 1 + 1  # L = 1
 
 
+def test_letters_keep_a_window_and_recompute_what_falls_out():
+    # each intermediate letter keeps only the entries in-order reads come
+    # back to; a read far behind recomputes them from the letter below
+    def seq(n):
+        return mpf(1) / (n + 1) + (-1) ** n * mpf(n) / 3
+
+    word = _power(X, 8)
+    read_in_order = apply_operator(word, seq, 30)
+    for n in range(4000):
+        read_in_order(n)
+    behind = apply_operator(word, seq, 30)
+    behind(3999)  # the letters' windows sit near 4,000
+    for n in (10, 2000):
+        fresh = apply_operator(word, seq, 30)
+        assert read_in_order(n) == fresh(n)
+        assert behind(n) == fresh(n)
+
+
 def test_adjoint_check_refuses_divergent_sides():
     with pytest.raises(InconclusivePairingError):
         adjoint_check(ID, DeltaDeriv(0), DeltaDeriv(0), _CFG, 40)
